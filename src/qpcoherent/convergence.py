@@ -235,10 +235,10 @@ def proposition2_check(grid: Sequence[DeformationParams],
     """Classify every grid point and ratio-test all three series there.
 
     exp series are sampled at x = fraction * R inside the nominal disk (a
-    fixed x = 5 * fraction stands in when R is infinite). A contradiction is
-    a regime-(i)/(ii) point with a Divergent series, or an outside point
-    where no series diverges; Inconclusive rows are flagged through the
-    boundary margin instead.
+    fixed x = 5 * fraction stands in when R is infinite or zero). A
+    contradiction is a regime-(i)/(ii) point with a Divergent series, or an
+    outside point where no series diverges; Inconclusive rows are flagged
+    through the boundary margin instead.
     """
     if not grid:
         raise InvalidParameterError("grid must be nonempty")
@@ -259,7 +259,7 @@ def proposition2_check(grid: Sequence[DeformationParams],
         exp_estimates = []
         exp_tail = ()
         for frac in x_fractions:
-            x = frac * radius if math.isfinite(radius) else 5.0 * frac
+            x = frac * radius if 0 < radius < math.inf else 5.0 * frac
             res = ratio_test_logmag(_exp_log_terms(params, x, n_terms), window)
             exp_verdicts.append(res.verdict)
             exp_estimates.append(res.estimate)

@@ -2,7 +2,8 @@
 
 Two series are attached to the deformation: sum x**n / [n]! and
 sum x**n / |[n]|!. Both reduce to exp(x) in the classical limit and share the
-convergence radius R = 1/|q - 1/p| (infinite on the degenerate branch).
+convergence radius R = 1/|q - 1/p| (on the degenerate branch infinite for
+|q| >= 1 and zero for |q| < 1).
 Partial sums are accumulated in extended precision so that alternating
 classical inputs (x < 0) keep full double accuracy.
 """
@@ -59,9 +60,13 @@ _NAN = complex(math.nan, math.nan)
 
 
 def convergence_radius(params: DeformationParams) -> float:
-    """Radius of the convergence disk, 1/|q - 1/p|; +inf on the degenerate branch."""
+    """Radius of the convergence disk, 1/|q - 1/p|.
+
+    On the degenerate branch [n] = n q**(n-1): the radius is +inf for
+    |q| >= 1 and 0 for |q| < 1, where both series diverge for every x != 0.
+    """
     if params.is_degenerate:
-        return math.inf
+        return math.inf if abs(params.q) >= 1.0 else 0.0
     return 1.0 / abs(params.denom)
 
 
@@ -74,10 +79,10 @@ def _sum_series(
 ) -> SeriesEvaluation:
     radius = convergence_radius(params)
     ax = abs(x)
-    if ax >= radius:
+    if ax >= radius and ax > 0:
         return SeriesEvaluation(_NAN, 0, math.inf, Verdict.DIVERGENT_INPUT)
 
-    r_geom = ax / radius if math.isfinite(radius) else 0.0
+    r_geom = ax / radius if 0 < radius < math.inf else 0.0
     # extended precision keeps cancellation error below the 1e-12 tail targets
     total = np.clongdouble(1.0)
     term = np.clongdouble(1.0)

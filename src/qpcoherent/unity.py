@@ -42,9 +42,15 @@ from .qnumbers import DeformationParams, iter_numbers, qp_sequence
 
 CONDITION_LIMIT = 1e12
 
-#: series cap for pointwise exp2 values on dense grids; terms decay like
-#: (x/R)**n, so points near the support edge legitimately need many terms
+#: series cap for pointwise exp2 values on dense grids. The certified
+#: geometric remainder (see ``_exp2_values``) stops after O(log G) terms on a
+#: grid of G points; the cap matters only where no remainder bound exists
+#: (|qp| = 1), where the sum stops on two small terms in a row at every point
 _GRID_SERIES_CAP = 400_000
+
+#: a modulus within this of 1 counts as exactly 1 in the exp2 remainder bound;
+#: a modulus error d moves the value at x = R (1 - 1/G) by about d G**2 relative
+_UNIT_MODULUS_TOL = 4 * np.finfo(float).eps
 
 
 class Basis(Enum):
@@ -92,15 +98,26 @@ class WeightFunction:
     def evaluate(self, x) -> np.ndarray:
         """Wt at arbitrary points, using the richest available representation."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.coeffs is not None and self.basis is Basis.SHIFTED_LEGENDRE:
-            R = self.support[1]
-            return np.polynomial.legendre.legval(2.0 * x / R - 1.0, self.coeffs)
-        if self.coeffs is not None and self.basis is Basis.GENERALIZED_LAGUERRE:
-            return np.polynomial.laguerre.lagval(x, self.coeffs) * np.exp(-x)
+        if self.coeffs is not None and self.basis is not None:
+            return _basis_values(self.basis, self.coeffs, self.support[1], x)
         if self._fourier_nodes is not None:
             phase = np.exp(-1j * np.outer(self._fourier_nodes, x))
             return (self._fourier_weights @ phase).real / (2.0 * math.pi)
         return np.interp(x, self.grid_x, self.grid_w)
+
+
+def _basis_values(basis: Basis, coeffs: np.ndarray, R: float,
+                  x: np.ndarray) -> np.ndarray:
+    if basis is Basis.SHIFTED_LEGENDRE:
+        return np.polynomial.legendre.legval(2.0 * x / R - 1.0, coeffs)
+    return np.polynomial.laguerre.lagval(x, coeffs) * np.exp(-x)
+
+
+def _require_disk(radius: float) -> None:
+    if radius == 0.0:
+        raise SeriesDivergenceError(
+            "convergence radius is 0 (q p = 1 with |q| < 1): sum x**n/|[n]|! "
+            "diverges for every x > 0, so no weight exists")
 
 
 def format_float(v: float) -> str:
@@ -215,27 +232,86 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
     )
 
 
+def _exp2_gaps(params: DeformationParams, x: np.ndarray, radius: float):
+    """Bounds L <= |[k]| <= U for every k > n, as the gaps L - x and U - x.
+
+    Returns two functions of n, the second None where only L is known; both
+    are None where no bound exists. Off the degenerate set
+    |[k]| = R lam**k |1 - w**k| with |w| <= 1, so lam >= 1 and |w| < 1 give
+    L = R (1 - |w|**(n+1)), and lam = 1 also U = R (1 + |w|**(n+1)).
+    """
+    if params.is_degenerate:
+        # [k] = k q**(k-1) with |q| >= 1 (the radius is 0 otherwise): |[k]| >= k
+        return (lambda n: (n + 1) - x), None
+    w = params.q * params.p
+    if abs(w) <= 1.0:
+        lam = 1.0 / abs(params.p)
+    else:
+        w, lam = 1.0 / w, abs(params.q)
+    aw = abs(w)
+    if lam < 1.0 - _UNIT_MODULUS_TOL:
+        raise SeriesDivergenceError(
+            f"|[n]| decays like {lam:.6g}**n, so the terms of "
+            "sum x**n/|[n]|! grow and it diverges for every x > 0")
+    if aw >= 1.0 - _UNIT_MODULUS_TOL:
+        return None, None
+    room = radius - x   # exact near the edge, where L - x is small
+    lower = lambda n: room - radius * aw ** (n + 1)
+    if lam > 1.0 + _UNIT_MODULUS_TOL:
+        return lower, None   # |[k]| grows like lam**k
+    return lower, (lambda n: room + radius * aw ** (n + 1))
+
+
 def _exp2_values(x: np.ndarray, params: DeformationParams,
-                 n_cap: int = _GRID_SERIES_CAP, tol: float = 1e-12) -> np.ndarray:
-    """Vectorized sum x**n/|[n]|! for real nonnegative x strictly inside the disk."""
+                 n_cap: int = _GRID_SERIES_CAP,
+                 tol: float = 1e-12) -> tuple[np.ndarray, int, float]:
+    """Vectorized sum x**n/|[n]|! for real nonnegative x strictly inside the disk.
+
+    Returns the values, the number n of explicit terms and the largest
+    certified half-width of the remainder relative to the value (inf where no
+    bound exists). With L <= |[k]| <= U for every k > n, the remainder after
+    the term t_n lies between t_n x/(U - x) and t_n x/(L - x) (between 0 and
+    the latter without U); its midpoint is added, and the sum stops at the
+    first n where the half-width is at most ``tol * total`` at every point.
+    That takes O(log G) terms on a grid of G points reaching R (1 - 1/G).
+    Where no bound exists (|w| = 1), every point must instead see two terms
+    in a row below ``tol * total``.
+    """
     x = np.asarray(x, dtype=float)
     radius = convergence_radius(params)
     if np.any(x < 0) or np.any(x >= radius):
         raise InvalidParameterError("grid points must satisfy 0 <= x < radius")
+    lower_gap, upper_gap = _exp2_gaps(params, x, radius)
+    edge = int(np.argmax(x))   # terms and totals are largest here, gaps smallest
     term = np.ones(x.shape, dtype=float)
     total = term.copy()
     streak = np.zeros(x.shape, dtype=int)
     gen = iter_numbers(params)
-    for n in range(1, n_cap + 1):
-        value, resonant = next(gen)
-        if resonant or value == 0:
-            raise RootOfUnityDegeneracyError(n)
-        term *= x / abs(value)
-        total += term
-        small = term <= tol * np.maximum(total, 1.0)
-        streak = np.where(small, streak + 1, 0)
-        if n >= 10 and np.all(streak >= 2):
-            return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_cap + 1):
+            value, resonant = next(gen)
+            if resonant or value == 0:
+                raise RootOfUnityDegeneracyError(n)
+            term *= x / abs(value)
+            total += term
+            if not math.isfinite(term[edge]):
+                raise SeriesDivergenceError(
+                    f"exp2 term {n} is no longer finite at x = {x[edge]:.6g}")
+            if lower_gap is None:
+                small = term <= tol * np.maximum(total, 1.0)
+                streak = np.where(small, streak + 1, 0)
+                if n >= 10 and np.all(streak >= 2):
+                    return total, n, math.inf
+                continue
+            gap = lower_gap(n)
+            if gap[edge] <= 0.0:
+                continue
+            high = term * x / gap
+            low = 0.0 if upper_gap is None else term * x / upper_gap(n)
+            half = 0.5 * (high - low)
+            if np.all(half <= tol * total):
+                return (total + 0.5 * (high + low), n,
+                        float(np.max(half / total)))
     raise SeriesDivergenceError(f"exp2 grid evaluation not converged in {n_cap} terms")
 
 
@@ -300,6 +376,7 @@ def weight_from_moments(moments: MomentSet, degree: int, *,
     if degree < 0 or degree > moments.n_max:
         raise InvalidParameterError("need 0 <= degree <= moments.n_max")
     R = moments.support[1]
+    _require_disk(R)
     finite = math.isfinite(R)
     d1 = degree + 1
     M = _legendre_moment_matrix(degree, R) if finite else _laguerre_moment_matrix(degree)
@@ -324,23 +401,18 @@ def weight_from_moments(moments: MomentSet, degree: int, *,
         span = x_max if x_max is not None else max(20.0, 2.0 * degree)
         grid_x = np.linspace(0.0, span, grid_points)
         basis = Basis.GENERALIZED_LAGUERRE
-    wf = WeightFunction(
+    grid_w = _basis_values(basis, coeffs, R, grid_x)
+    grid_x.flags.writeable = False
+    grid_w.flags.writeable = False
+    return WeightFunction(
         support=moments.support, basis=basis, coeffs=coeffs,
-        grid_x=grid_x, grid_w=np.zeros_like(grid_x), min_value=0.0,
+        grid_x=grid_x, grid_w=grid_w, min_value=float(np.min(grid_w)),
         method=Method.MOMENT_RECONSTRUCTION,
         diagnostics={
             "degree": degree,
             "condition_estimate": cond,
             "moment_residuals": resid.astype(float),
         },
-    )
-    grid_w = wf.evaluate(grid_x)
-    grid_x.flags.writeable = False
-    grid_w.flags.writeable = False
-    return WeightFunction(
-        support=wf.support, basis=wf.basis, coeffs=wf.coeffs,
-        grid_x=grid_x, grid_w=grid_w, min_value=float(np.min(grid_w)),
-        method=wf.method, diagnostics=wf.diagnostics,
     )
 
 
@@ -373,6 +445,7 @@ def weight_from_fourier(
     if y_cut <= 0 or damping <= 0:
         raise InvalidParameterError("y_cut and damping must be positive")
     radius = convergence_radius(params)
+    _require_disk(radius)
     if x_grid is None:
         span = radius if math.isfinite(radius) else 20.0
         x_grid = np.linspace(0.0, span, 513, endpoint=False)
@@ -450,11 +523,13 @@ def fourier_damping_refinement(
 def physical_weight(wtilde: WeightFunction, params: DeformationParams,
                     *, series_cap: int = _GRID_SERIES_CAP) -> WeightFunction:
     """Pointwise W(x) = exp2(x) * Wt(x) on the stored grid (grid-only result)."""
-    vals = _exp2_values(wtilde.grid_x, params, n_cap=series_cap)
+    vals, terms, tail = _exp2_values(wtilde.grid_x, params, n_cap=series_cap)
     w_phys = wtilde.grid_w * vals
     w_phys.flags.writeable = False
     diag = dict(wtilde.diagnostics)
     diag["physical"] = True
+    diag["exp2_terms"] = terms
+    diag["exp2_tail_bound"] = tail
     return WeightFunction(
         support=wtilde.support, basis=None, coeffs=None,
         grid_x=wtilde.grid_x, grid_w=w_phys, min_value=float(np.min(w_phys)),

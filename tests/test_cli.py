@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -114,6 +115,39 @@ def test_weight_unknown_method_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["weight", "--q", "1", "--p", "1", "--method", "pade"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("q, p, reason", [("0.3", "2", "diverges"),
+                                           ("0.5", "2", "radius is 0")])
+def test_weight_divergent_series_is_error(tmp_path, capsys, q, p, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no raw numpy RuntimeWarning
+        code, text = run_cli(["weight", "--q", q, "--p", p], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
+    assert "inf" not in text
+
+
+def test_exp_zero_radius(tmp_path):
+    # q p = 1 with |q| < 1: the disk is empty, but x = 0 still sums to 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["exp", "--q", "0.5", "--p", "2", "--x", "0.1"],
+                             tmp_path)
+        assert code == 0
+        assert parse_csv(text)[0]["verdict"] == "DivergentInput"
+        code, text = run_cli(["exp", "--q", "0.5", "--p", "2", "--x", "0"],
+                             tmp_path, name="zero.csv")
+    assert code == 0
+    assert float(parse_csv(text)[0]["value_re"]) == 1.0
+
+
+def test_verify_zero_radius_is_error(capsys):
+    code = main(["verify", "--q", "0.5", "--p", "2"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "convergence radius 0" in err[0]
 
 
 def test_verify_classical_passes(tmp_path):

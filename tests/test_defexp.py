@@ -35,6 +35,22 @@ def test_radius_values():
     assert convergence_radius(params) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_radius_on_degenerate_set():
+    # [n] = n q**(n-1) on q p = 1: both series diverge for every x != 0
+    # when |q| < 1, and are entire when |q| >= 1
+    assert convergence_radius(DeformationParams(0.5, 2.0)) == 0.0
+    assert convergence_radius(DeformationParams(2.0, 0.5)) == math.inf
+    assert convergence_radius(DeformationParams(1j, -1j)) == math.inf
+
+
+def test_zero_radius_series():
+    params = DeformationParams(0.5, 2.0)
+    for which in (exp1, exp2):
+        assert which(0.1, params).verdict is Verdict.DIVERGENT_INPUT
+        ev = which(0.0, params)
+        assert ev.verdict is Verdict.CONVERGED and ev.value == 1.0
+
+
 def test_series_control_validation():
     with pytest.raises(InvalidParameterError):
         SeriesControl(n_max=5, tol=1e-10, min_terms=9)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -31,7 +32,7 @@ from qpcoherent import (
     weight_to_json,
 )
 
-from oracles import gamma_moment, ref_wbar
+from oracles import gamma_moment, ref_exp2_certified, ref_wbar
 
 QUON = DeformationParams(0.5, 1.0)
 CLASSICAL = DeformationParams(1.0, 1.0)
@@ -223,6 +224,60 @@ def test_physical_weight_at_origin_unchanged():
     phys = physical_weight(w, QUON)
     assert phys.grid_w[0] == pytest.approx(w.grid_w[0], rel=1e-12)
     assert np.all(np.isfinite(phys.grid_w))
+
+
+def _exp2_reference(x, params):
+    """sum x**n/|[n]|! in mpmath, by a route apart from the library's."""
+    if params == CLASSICAL:
+        return mp.exp(x)
+    if params == QUON:
+        # Euler product 1/((1 - q) x; q)_inf, the q-exponential of the quon
+        return 1 / mp.qp((1 - mp.mpf(0.5)) * mp.mpf(x), mp.mpf(0.5))
+    return ref_exp2_certified(x, params.q, params.p)
+
+
+@pytest.mark.parametrize("params", [QUON, DeformationParams(1j, 1.5), CLASSICAL],
+                         ids=["quon", "unit_q", "classical"])
+def test_physical_weight_against_independent_reference(params):
+    terms = {}
+    for grid in (257, 1025, 4001):
+        w = weight_from_moments(target_moments(params, 24), 12,
+                                grid_points=grid)
+        phys = physical_weight(w, params)
+        # 12 evenly spaced points, always with the one nearest the edge
+        for i in np.unique(np.linspace(0, grid - 1, 12).astype(int)):
+            ref = float(_exp2_reference(float(w.grid_x[i]), params))
+            assert phys.grid_w[i] / w.grid_w[i] == pytest.approx(ref, rel=1e-12)
+        assert phys.diagnostics["exp2_tail_bound"] <= 1e-12
+        terms[grid] = phys.diagnostics["exp2_terms"]
+    # the certified remainder needs O(log G) explicit terms, not O(G)
+    assert terms[4001] - terms[257] <= 20
+    assert terms[4001] < 200
+
+
+def test_physical_weight_without_remainder_bound_reports_it():
+    # |qp| = 1: no geometric remainder bound exists, so none is claimed
+    params = DeformationParams(0.6 + 0.8j, 1.0)
+    w = weight_from_moments(target_moments(params, 24), 12, grid_points=65)
+    phys = physical_weight(w, params)
+    assert phys.diagnostics["exp2_tail_bound"] == math.inf
+    assert np.all(np.isfinite(phys.grid_w))
+
+
+def test_physical_weight_divergent_series_raises():
+    # |p| > 1 with |qp| < 1: |[n]| -> 0, so the terms grow for every x > 0
+    params = DeformationParams(0.3, 2.0)
+    w = weight_from_moments(target_moments(params, 24), 12, grid_points=33)
+    with pytest.raises(SeriesDivergenceError, match="diverges"):
+        physical_weight(w, params)
+
+
+def test_zero_radius_has_no_weight():
+    params = DeformationParams(0.5, 2.0)
+    with pytest.raises(SeriesDivergenceError, match="radius is 0"):
+        weight_from_moments(target_moments(params, 24), 12)
+    with pytest.raises(SeriesDivergenceError, match="radius is 0"):
+        weight_from_fourier(params, 12.0, 1e-2)
 
 
 def test_resolution_residual_classical():
