@@ -58,15 +58,22 @@ DEFAULT_CONTROL = SeriesControl()
 
 _NAN = complex(math.nan, math.nan)
 
+#: a modulus within this of 1 counts as 1 where a growth rate decides between
+#: convergence and divergence: |exp(i t)| itself can round to 1 - 1 ulp
+UNIT_MODULUS_TOL = 4 * np.finfo(float).eps
+
 
 def convergence_radius(params: DeformationParams) -> float:
     """Radius of the convergence disk, 1/|q - 1/p|.
 
     On the degenerate branch [n] = n q**(n-1): the radius is +inf for
     |q| >= 1 and 0 for |q| < 1, where both series diverge for every x != 0.
+    The branch holds q within 1e-12 of 1/p, so the larger of |q| and 1/|p|
+    is compared with 1, up to rounding.
     """
     if params.is_degenerate:
-        return math.inf if abs(params.q) >= 1.0 else 0.0
+        rate = max(abs(params.q), 1.0 / abs(params.p))
+        return math.inf if rate >= 1.0 - UNIT_MODULUS_TOL else 0.0
     return 1.0 / abs(params.denom)
 
 

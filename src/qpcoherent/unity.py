@@ -30,7 +30,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._quad import adaptive_gl, panel_nodes
-from .defexp import SeriesControl, SeriesEvaluation, Verdict, convergence_radius
+from .defexp import (
+    UNIT_MODULUS_TOL,
+    SeriesControl,
+    SeriesEvaluation,
+    Verdict,
+    convergence_radius,
+)
 from .errors import (
     IllConditionedError,
     InvalidParameterError,
@@ -43,14 +49,11 @@ from .qnumbers import DeformationParams, iter_numbers, qp_sequence
 CONDITION_LIMIT = 1e12
 
 #: series cap for pointwise exp2 values on dense grids. The certified
-#: geometric remainder (see ``_exp2_values``) stops after O(log G) terms on a
-#: grid of G points; the cap matters only where no remainder bound exists
-#: (|qp| = 1), where the sum stops on two small terms in a row at every point
+#: geometric remainder (see ``_exp2_values``) stops after about
+#: ln(G/tol)/ln(1/|w|) terms on a grid of G points; the cap matters only where
+#: that bound is not used (|w| at or near 1), where the sum stops on two small
+#: terms in a row at every point
 _GRID_SERIES_CAP = 400_000
-
-#: a modulus within this of 1 counts as exactly 1 in the exp2 remainder bound;
-#: a modulus error d moves the value at x = R (1 - 1/G) by about d G**2 relative
-_UNIT_MODULUS_TOL = 4 * np.finfo(float).eps
 
 
 class Basis(Enum):
@@ -232,36 +235,6 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
     )
 
 
-def _exp2_gaps(params: DeformationParams, x: np.ndarray, radius: float):
-    """Bounds L <= |[k]| <= U for every k > n, as the gaps L - x and U - x.
-
-    Returns two functions of n, the second None where only L is known; both
-    are None where no bound exists. Off the degenerate set
-    |[k]| = R lam**k |1 - w**k| with |w| <= 1, so lam >= 1 and |w| < 1 give
-    L = R (1 - |w|**(n+1)), and lam = 1 also U = R (1 + |w|**(n+1)).
-    """
-    if params.is_degenerate:
-        # [k] = k q**(k-1) with |q| >= 1 (the radius is 0 otherwise): |[k]| >= k
-        return (lambda n: (n + 1) - x), None
-    w = params.q * params.p
-    if abs(w) <= 1.0:
-        lam = 1.0 / abs(params.p)
-    else:
-        w, lam = 1.0 / w, abs(params.q)
-    aw = abs(w)
-    if lam < 1.0 - _UNIT_MODULUS_TOL:
-        raise SeriesDivergenceError(
-            f"|[n]| decays like {lam:.6g}**n, so the terms of "
-            "sum x**n/|[n]|! grow and it diverges for every x > 0")
-    if aw >= 1.0 - _UNIT_MODULUS_TOL:
-        return None, None
-    room = radius - x   # exact near the edge, where L - x is small
-    lower = lambda n: room - radius * aw ** (n + 1)
-    if lam > 1.0 + _UNIT_MODULUS_TOL:
-        return lower, None   # |[k]| grows like lam**k
-    return lower, (lambda n: room + radius * aw ** (n + 1))
-
-
 def _exp2_values(x: np.ndarray, params: DeformationParams,
                  n_cap: int = _GRID_SERIES_CAP,
                  tol: float = 1e-12) -> tuple[np.ndarray, int, float]:
@@ -269,20 +242,51 @@ def _exp2_values(x: np.ndarray, params: DeformationParams,
 
     Returns the values, the number n of explicit terms and the largest
     certified half-width of the remainder relative to the value (inf where no
-    bound exists). With L <= |[k]| <= U for every k > n, the remainder after
-    the term t_n lies between t_n x/(U - x) and t_n x/(L - x) (between 0 and
-    the latter without U); its midpoint is added, and the sum stops at the
-    first n where the half-width is at most ``tol * total`` at every point.
-    That takes O(log G) terms on a grid of G points reaching R (1 - 1/G).
-    Where no bound exists (|w| = 1), every point must instead see two terms
-    in a row below ``tol * total``.
+    bound is used). With L <= |[k]| <= U for every k > n, the remainder after
+    the term t_n lies between t_n x/(U - x) and t_n x/(L - x); its midpoint is
+    added, and the sum stops at the first n where the half-width is at most
+    ``tol * total`` at every point.
+
+    Off the degenerate set |[k]| = R lam**k |1 - w**k| with |w| <= 1, so
+    lam >= 1 and |w| < 1 give L = R lam**(n+1) (1 - |w|**(n+1)), and lam = 1
+    also U = R (1 + |w|**(n+1)); without U the lower end is 0. On the
+    degenerate branch |[k]| = k |q|**(k-1) >= (n+1) |q|**n, as |q| is 1 up to
+    rounding there or above (the radius is 0 otherwise). On a grid of G
+    points reaching R (1 - 1/G) the bracket closes after about
+    ln(tol/G)/ln|w| terms. Where |w| = 1, or where that count exceeds the cap
+    or the about ln(tol)/ln(x/R) terms that the following stop takes at the
+    edge, the sum stops instead once every point has seen two terms in a row
+    below ``tol * total``.
     """
     x = np.asarray(x, dtype=float)
     radius = convergence_radius(params)
     if np.any(x < 0) or np.any(x >= radius):
         raise InvalidParameterError("grid points must satisfy 0 <= x < radius")
-    lower_gap, upper_gap = _exp2_gaps(params, x, radius)
     edge = int(np.argmax(x))   # terms and totals are largest here, gaps smallest
+    degenerate = params.is_degenerate
+    if degenerate:
+        aq = min(abs(params.q), 1.0)
+        bracket = True
+    else:
+        w = params.q * params.p
+        if abs(w) <= 1.0:
+            lam = 1.0 / abs(params.p)
+        else:
+            w, lam = 1.0 / w, abs(params.q)
+        aw = abs(w)
+        if lam < 1.0 - UNIT_MODULUS_TOL:
+            raise SeriesDivergenceError(
+                f"|[n]| decays like {lam:.6g}**n, so the terms of "
+                "sum x**n/|[n]|! grow and it diverges for every x > 0")
+        # not within MODULUS_TOL: a modulus error d moves the edge value by d G**2
+        lam_is_one = lam <= 1.0 + UNIT_MODULUS_TOL
+        log_lam = 0.0 if lam_is_one else math.log(lam)
+        room = radius - x   # exact near the edge, where L - x is small
+        x_edge = float(x[edge])
+        bracket = aw < 1.0 - UNIT_MODULUS_TOL and (
+            aw == 0.0 or x_edge == 0.0
+            or math.log(tol * room[edge] / radius) / math.log(aw)
+            <= min(n_cap, math.log(tol) / math.log(x_edge / radius)))
     term = np.ones(x.shape, dtype=float)
     total = term.copy()
     streak = np.zeros(x.shape, dtype=int)
@@ -297,17 +301,23 @@ def _exp2_values(x: np.ndarray, params: DeformationParams,
             if not math.isfinite(term[edge]):
                 raise SeriesDivergenceError(
                     f"exp2 term {n} is no longer finite at x = {x[edge]:.6g}")
-            if lower_gap is None:
+            if not bracket:
                 small = term <= tol * np.maximum(total, 1.0)
                 streak = np.where(small, streak + 1, 0)
                 if n >= 10 and np.all(streak >= 2):
                     return total, n, math.inf
                 continue
-            gap = lower_gap(n)
-            if gap[edge] <= 0.0:
+            if degenerate:
+                low_gap, high_gap = (n + 1) * aq ** n - x, math.inf
+            else:
+                b = aw ** (n + 1)
+                # L - x = (R - x) + R (expm1((n+1) ln lam) (1 - b) - b)
+                low_gap = room + radius * (np.expm1((n + 1) * log_lam) * (1.0 - b) - b)
+                high_gap = room + radius * b if lam_is_one else math.inf
+            if low_gap[edge] <= 0.0:
                 continue
-            high = term * x / gap
-            low = 0.0 if upper_gap is None else term * x / upper_gap(n)
+            high = term * x / low_gap
+            low = term * x / high_gap
             half = 0.5 * (high - low)
             if np.all(half <= tol * total):
                 return (total + 0.5 * (high + low), n,

@@ -43,6 +43,20 @@ def test_radius_on_degenerate_set():
     assert convergence_radius(DeformationParams(1j, -1j)) == math.inf
 
 
+def test_radius_on_degenerate_unit_circle_ignores_rounding():
+    # |exp(0.6439 i)| rounds to 1 - 1 ulp; the pair is still entire
+    q = cmath.exp(0.6439j)
+    params = DeformationParams(q, 1.0 / q)
+    assert abs(q) < 1.0 and params.is_degenerate
+    assert convergence_radius(params) == math.inf
+    # [n] = n q**(n-1), so |[n]|! = n! and exp2 is exp
+    ev = exp2(3.0, params)
+    assert ev.verdict is Verdict.CONVERGED
+    assert ev.value == pytest.approx(math.exp(3.0), rel=1e-13)
+    # a pair just off the degenerate set, with 1/|p| = 1: R = 2e12, not 0
+    assert convergence_radius(DeformationParams(1 - 5e-13, 1.0)) == math.inf
+
+
 def test_zero_radius_series():
     params = DeformationParams(0.5, 2.0)
     for which in (exp1, exp2):

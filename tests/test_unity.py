@@ -264,6 +264,52 @@ def test_physical_weight_without_remainder_bound_reports_it():
     assert np.all(np.isfinite(phys.grid_w))
 
 
+# sum x**n/|[n]|! on linspace(0, R, 513, endpoint=False) at indices 256 and
+# 512, as the two-small-terms stop gives them (it is kept where |w| is this
+# close to 1, so these values are unchanged)
+NEAR_UNIT_W = [
+    (DeformationParams((1 - 1e-6) * cmath.exp(2j), 1.0),
+     1.5988507866670407, 11816.724623510529),
+    (DeformationParams(0.6 + 0.8j, 1.000001),
+     1.8052187430706848, 68.0426392473267),
+]
+
+
+@pytest.mark.parametrize("params,mid,edge", NEAR_UNIT_W,
+                         ids=["regime_i", "regime_ii"])
+def test_physical_weight_with_w_near_unit_circle(params, mid, edge):
+    # |w| = 1 - 1e-6: the remainder bracket would need ln(G/tol)/(1 - |w|),
+    # about 3e7 terms, to close, so the two-small-terms stop is used
+    w = weight_from_moments(target_moments(params, 24), 12, grid_points=513)
+    phys = physical_weight(w, params)
+    assert np.all(np.isfinite(phys.grid_w))
+    assert phys.diagnostics["exp2_tail_bound"] == math.inf
+    assert phys.diagnostics["exp2_terms"] < 15_000
+    ratio = phys.grid_w / w.grid_w
+    assert ratio[256] == pytest.approx(mid, rel=1e-14)
+    assert ratio[512] == pytest.approx(edge, rel=1e-14)
+
+
+def test_physical_weight_growing_numbers_stop_early():
+    # |[k]| = R |q|**k |1 - (qp)**-k| grows like 1.02**k: the lower bound
+    # keeps that factor, so the bracket closes as soon as the terms are spent
+    params = DeformationParams(1.02, 1.0)
+    w = weight_from_moments(target_moments(params, 24), 12, grid_points=65)
+    phys = physical_weight(w, params)
+    assert phys.diagnostics["exp2_tail_bound"] <= 1e-12
+    assert phys.diagnostics["exp2_terms"] < 100
+    # [k] = (q**k - 1)/(q - 1) increases, so once x/[n+1] <= 1/2 the
+    # remainder after the term t_n is at most 2 t_n
+    q, x = mp.mpf(params.q.real), mp.mpf(float(w.grid_x[-1]))
+    term = ref = mp.mpf(1)
+    n = 0
+    while not (term <= mp.mpf("1e-30") * ref and x <= (q ** (n + 1) - 1) / (q - 1) / 2):
+        n += 1
+        term *= x * (q - 1) / (q ** n - 1)
+        ref += term
+    assert phys.grid_w[-1] / w.grid_w[-1] == pytest.approx(float(ref), rel=1e-12)
+
+
 def test_physical_weight_divergent_series_raises():
     # |p| > 1 with |qp| < 1: |[n]| -> 0, so the terms grow for every x > 0
     params = DeformationParams(0.3, 2.0)
