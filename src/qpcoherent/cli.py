@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -26,12 +27,13 @@ from .coherent import (
     overlap,
 )
 from .defexp import SeriesControl, convergence_radius, exp1, exp2
-from .errors import InvalidParameterError, QpcError
+from .errors import InvalidParameterError, LabelOutOfDiskError, QpcError
 from .fock import build_operators, relation_residuals
 from .qnumbers import DeformationParams, qp_sequence
 from .unity import (
     QuadratureSpec,
     format_float,
+    open_output,
     resolution_residual,
     target_moments,
     weight_from_fourier,
@@ -89,21 +91,15 @@ def _params_from(args, config) -> DeformationParams:
     return DeformationParams(q=complex(q), p=complex(p))
 
 
-def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        out.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _open_out(args):
-    path = getattr(args, "out", None)
-    if path:
-        return open(path, "w", newline="", encoding="utf-8"), True
-    return sys.stdout, False
+def _emit_rows(header: list[str], rows: list[list[str]], args) -> None:
+    with open_output(args.out or sys.stdout) as out:
+        if args.format == "json":
+            payload = [dict(zip(header, row)) for row in rows]
+            out.write(json.dumps(payload, indent=2) + "\n")
+        else:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 # ----------------------------------------------------------------------
@@ -121,12 +117,7 @@ def _cmd_qnum(args, config) -> int:
         rows.append([str(n), *_fmt_complex_pair(seq.numbers[n]),
                      *_fmt_complex_pair(seq.factorials[n]),
                      _fmt(seq.abs_factorials[n])])
-    out, close = _open_out(args)
-    try:
-        _emit_rows(header, rows, args.format, out)
-    finally:
-        if close:
-            out.close()
+    _emit_rows(header, rows, args)
     return 0
 
 
@@ -146,12 +137,7 @@ def _cmd_exp(args, config) -> int:
               "tail_bound", "verdict"]
     rows = [[str(which), *_fmt_complex_pair(x), *_fmt_complex_pair(ev.value),
              str(ev.terms_used), _fmt(ev.tail_bound), ev.verdict.value]]
-    out, close = _open_out(args)
-    try:
-        _emit_rows(header, rows, args.format, out)
-    finally:
-        if close:
-            out.close()
+    _emit_rows(header, rows, args)
     return 0
 
 
@@ -171,12 +157,7 @@ def _cmd_coherent(args, config) -> int:
         header = ["n", "coeff_re", "coeff_im"]
         rows = [[str(n), *_fmt_complex_pair(c)]
                 for n, c in enumerate(state.coeffs)]
-    out, close = _open_out(args)
-    try:
-        _emit_rows(header, rows, args.format, out)
-    finally:
-        if close:
-            out.close()
+    _emit_rows(header, rows, args)
     return 0
 
 
@@ -189,12 +170,7 @@ def _cmd_fock_check(args, config) -> int:
     rows = [[str(dim), str(report.block_dim), _fmt(report.residual_qmutation),
              _fmt(report.residual_delta_comm), _fmt(report.residual_adag_comm),
              _fmt(report.residual_qp)]]
-    out, close = _open_out(args)
-    try:
-        _emit_rows(header, rows, args.format, out)
-    finally:
-        if close:
-            out.close()
+    _emit_rows(header, rows, args)
     return 0
 
 
@@ -218,19 +194,16 @@ def _cmd_weight(args, config) -> int:
         span = radius if math.isfinite(radius) else 20.0
         x_grid = np.linspace(0.0, span, grid_points, endpoint=False)
         weight = weight_from_fourier(params, y_cut, damping, x_grid)
-    out, close = _open_out(args)
-    try:
-        if args.format == "json":
-            weight_to_json(weight, out)
-        else:
-            weight_to_csv(weight, params, out)
-    finally:
-        if close:
-            out.close()
+    if args.format == "json":
+        weight_to_json(weight, args.out or sys.stdout)
+    else:
+        weight_to_csv(weight, params, args.out or sys.stdout)
     return 0
 
 
 def _verify_checks(params: DeformationParams, dim: int, degree: int) -> list[dict]:
+    """One row per check; a check that raises a library error is a failed row
+    naming it, and the checks after it still run."""
     checks: list[dict] = []
 
     def record(name, value, threshold, passed, note=""):
@@ -244,51 +217,85 @@ def _verify_checks(params: DeformationParams, dim: int, degree: int) -> list[dic
     if not regime_ok:
         return checks
 
-    report = relation_residuals(build_operators(dim, params))
-    worst = max(report.residual_qmutation, report.residual_delta_comm,
-                report.residual_adag_comm, report.residual_qp)
-    record("fock_relations", worst, 1e-12, worst <= 1e-12)
-
     radius = convergence_radius(params)
+    if radius == 0.0:
+        # q p = 1 with |q| < 1: no label exists, so no check can run
+        raise LabelOutOfDiskError("|z|^2 = 0 >= convergence radius 0")
     span = radius if math.isfinite(radius) else 4.0
-    labels = [math.sqrt(f * span) * complex(math.cos(t), math.sin(t))
-              for f in (0.2, 0.5, 0.8) for t in (0.0, 1.1, 2.4, 4.0)]
-    worst_norm = 0.0
-    worst_resid = 0.0
-    worst_budget = math.inf
-    for z in labels:
-        state = make_state(z, params)
-        worst_norm = max(worst_norm,
-                         abs(float(np.sum(np.abs(state.coeffs) ** 2)) - 1.0))
-        if state.dim >= 2:
-            ops = build_operators(state.dim, params)
-            worst_resid = max(worst_resid, annihilator_residual(state, ops))
-            worst_budget = min(worst_budget,
-                               max(1e-10, 10.0 * state.tail_bound))
-    record("normalization", worst_norm, 1e-10, worst_norm <= 1e-10)
-    record("annihilator", worst_resid, worst_budget,
-           worst_resid <= worst_budget)
 
-    z0 = math.sqrt(0.4 * span)
-    deltas = [1e-2, 1e-3, 1e-4]
-    dists = [label_distance_sq(make_state(z0, params),
-                               make_state(z0 + d, params)) for d in deltas]
-    monotone = all(b < a for a, b in zip(dists, dists[1:]))
-    record("continuity", dists[-1], 1e-6, monotone and dists[-1] <= 1e-6)
+    def fock_relations():
+        report = relation_residuals(build_operators(dim, params))
+        worst = max(report.residual_qmutation, report.residual_delta_comm,
+                    report.residual_adag_comm, report.residual_qp)
+        return worst, 1e-12, worst <= 1e-12
 
-    s1 = make_state(0.3 * math.sqrt(span), params)
-    s2 = make_state(0.45 * math.sqrt(span) * complex(math.cos(0.7), math.sin(0.7)),
-                    params)
-    gamma = overlap(s1, s2)  # raises on closed-form disagreement
-    record("overlap_consistency", abs(gamma), 1.0, abs(gamma) <= 1.0 + 1e-10)
+    @functools.cache
+    def label_states():
+        return [make_state(math.sqrt(f * span) * complex(math.cos(t), math.sin(t)),
+                           params)
+                for f in (0.2, 0.5, 0.8) for t in (0.0, 1.1, 2.4, 4.0)]
 
-    moments = target_moments(params, max(2 * degree, degree + 4))
-    weight = weight_from_moments(moments, degree)
-    mres = float(np.max(weight.diagnostics["moment_residuals"]))
-    record("moment_residuals", mres, 1e-6, mres <= 1e-6)
-    rres = resolution_residual(weight, params, min(dim, degree),
-                               QuadratureSpec())
-    record("resolution_residual", rres, 1e-4, rres <= 1e-4)
+    def normalization():
+        worst = 0.0
+        for state in label_states():
+            worst = max(worst,
+                        abs(float(np.sum(np.abs(state.coeffs) ** 2)) - 1.0))
+        return worst, 1e-10, worst <= 1e-10
+
+    def annihilator():
+        worst, budget = 0.0, math.inf
+        for state in label_states():
+            if state.dim >= 2:
+                ops = build_operators(state.dim, params)
+                worst = max(worst, annihilator_residual(state, ops))
+                budget = min(budget, max(1e-10, 10.0 * state.tail_bound))
+        return worst, budget, worst <= budget
+
+    def continuity():
+        z0 = math.sqrt(0.4 * span)
+        dists = [label_distance_sq(make_state(z0, params),
+                                   make_state(z0 + d, params))
+                 for d in (1e-2, 1e-3, 1e-4)]
+        monotone = all(b < a for a, b in zip(dists, dists[1:]))
+        return dists[-1], 1e-6, monotone and dists[-1] <= 1e-6
+
+    def overlap_consistency():
+        s1 = make_state(0.3 * math.sqrt(span), params)
+        s2 = make_state(0.45 * math.sqrt(span)
+                        * complex(math.cos(0.7), math.sin(0.7)), params)
+        gamma = overlap(s1, s2)  # raises on closed-form disagreement
+        return abs(gamma), 1.0, abs(gamma) <= 1.0 + 1e-10
+
+    @functools.cache
+    def weight():
+        moments = target_moments(params, max(2 * degree, degree + 4))
+        return weight_from_moments(moments, degree)
+
+    def moment_residuals():
+        mres = float(np.max(weight().diagnostics["moment_residuals"]))
+        return mres, 1e-6, mres <= 1e-6
+
+    def resolution():
+        rres = resolution_residual(weight(), params, min(dim, degree),
+                                   QuadratureSpec())
+        return rres, 1e-4, rres <= 1e-4
+
+    for name, check in (("fock_relations", fock_relations),
+                        ("normalization", normalization),
+                        ("annihilator", annihilator),
+                        ("continuity", continuity),
+                        ("overlap_consistency", overlap_consistency),
+                        ("moment_residuals", moment_residuals),
+                        ("resolution_residual", resolution)):
+        try:
+            value, threshold, passed = check()
+        except InvalidParameterError:
+            raise  # a usage error, not a failed check
+        except QpcError as exc:
+            record(name, math.nan, math.nan, False,
+                   f"{type(exc).__name__}: {exc}")
+        else:
+            record(name, value, threshold, passed)
     return checks
 
 
@@ -302,50 +309,40 @@ def _cmd_verify(args, config) -> int:
              _fmt(c["value"]) if not math.isnan(c["value"]) else "",
              _fmt(c["threshold"]) if not math.isnan(c["threshold"]) else "",
              str(c["passed"]).lower(), c["note"]] for c in checks]
-    out, close = _open_out(args)
-    try:
-        _emit_rows(header, rows, args.format, out)
-    finally:
-        if close:
-            out.close()
+    _emit_rows(header, rows, args)
     return 0 if all(c["passed"] for c in checks) else 1
 
 
 def _cmd_regimes(args, config) -> int:
     prop = int(_setting(args, config, "prop", 2))
-    out, close = _open_out(args)
-    try:
-        if prop == 2:
-            rows = convergence.proposition2_check(
-                convergence.default_parameter_grid())
-            if args.format == "json":
-                convergence.regime_report_to_json(rows, out)
-            else:
-                convergence.regime_report_to_csv(rows, out)
-            bad = sum(r.contradiction for r in rows)
-            return 0 if bad == 0 else 1
-        if prop == 1:
-            header = ["Q_re", "Q_im", "y", "verdict", "estimate", "expected",
-                      "consistent", "skipped"]
-            table = []
-            ok = True
-            for modulus in (0.5, 0.9, 1.1, 2.0):
-                for j in range(10):
-                    theta = 0.25 + 0.28 * j
-                    Q = modulus * complex(math.cos(theta), math.sin(theta))
-                    for row in convergence.proposition1_check(Q, (1.0,)):
-                        ok = ok and row.consistent
-                        table.append([
-                            *_fmt_complex_pair(row.Q), _fmt(row.y),
-                            row.verdict.value if row.verdict else "Skipped",
-                            _fmt(row.estimate), row.expected.value,
-                            str(row.consistent).lower(), row.skipped or ""])
-            _emit_rows(header, table, args.format, out)
-            return 0 if ok else 1
-        raise InvalidParameterError("--prop must be 1 or 2")
-    finally:
-        if close:
-            out.close()
+    if prop == 2:
+        rows = convergence.proposition2_check(
+            convergence.default_parameter_grid())
+        if args.format == "json":
+            convergence.regime_report_to_json(rows, args.out or sys.stdout)
+        else:
+            convergence.regime_report_to_csv(rows, args.out or sys.stdout)
+        bad = sum(r.contradiction for r in rows)
+        return 0 if bad == 0 else 1
+    if prop == 1:
+        header = ["Q_re", "Q_im", "y", "verdict", "estimate", "expected",
+                  "consistent", "skipped"]
+        table = []
+        ok = True
+        for modulus in (0.5, 0.9, 1.1, 2.0):
+            for j in range(10):
+                theta = 0.25 + 0.28 * j
+                Q = modulus * complex(math.cos(theta), math.sin(theta))
+                for row in convergence.proposition1_check(Q, (1.0,)):
+                    ok = ok and row.consistent
+                    table.append([
+                        *_fmt_complex_pair(row.Q), _fmt(row.y),
+                        row.verdict.value if row.verdict else "Skipped",
+                        _fmt(row.estimate), row.expected.value,
+                        str(row.consistent).lower(), row.skipped or ""])
+        _emit_rows(header, table, args)
+        return 0 if ok else 1
+    raise InvalidParameterError("--prop must be 1 or 2")
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,8 @@ import numpy as np
 
 from .defexp import convergence_radius
 from .errors import InvalidParameterError
-from .qnumbers import DeformationParams, log_abs_numbers
-from .unity import format_float
+from .qnumbers import DeformationParams, _unit_powers, log_abs_numbers
+from .unity import format_float, open_output
 
 MODULUS_TOL = 1e-9
 DEFAULT_WINDOW = 50
@@ -115,24 +115,40 @@ def ratio_test_logmag(log_terms: np.ndarray, window: int = DEFAULT_WINDOW) -> Ra
     stays meaningful when they grow without bound.
     """
     logs = np.asarray(log_terms, dtype=float)
-    logs = logs[np.isfinite(logs)]
-    if len(logs) < 2 * window:
+    return _ratio_kernel(logs[np.isfinite(logs)][np.newaxis], window)[0]
+
+
+def _ratio_kernel(logs: np.ndarray, window: int) -> list[RatioTestResult]:
+    # the ratio test on each row of a 2-D array of finite log-magnitudes
+    if logs.shape[1] < 2 * window:
         raise InvalidParameterError(
-            f"need at least {2 * window} finite nonzero terms, got {len(logs)}"
+            f"need at least {2 * window} finite nonzero terms, got {logs.shape[1]}"
         )
-    log_ratios = np.diff(logs)[-window:]
-    med = float(np.median(log_ratios))
-    sig = float(np.std(log_ratios))
-    if med < -3.0 * sig:
-        verdict = RatioVerdict.CONVERGENT
-    elif med > 3.0 * sig:
-        verdict = RatioVerdict.DIVERGENT
-    else:
-        verdict = RatioVerdict.INCONCLUSIVE
+    log_ratios = np.diff(logs, axis=1)[:, -window:]
+    meds = np.median(log_ratios, axis=1).tolist()
+    sigs = np.std(log_ratios, axis=1).tolist()
     with np.errstate(over="ignore"):
-        tail = tuple(float(v) for v in np.exp(log_ratios[-5:]))
-    return RatioTestResult(verdict=verdict, estimate=math.exp(med), sigma=sig,
-                           n_ratios=len(log_ratios), tail_samples=tail)
+        tails = np.exp(log_ratios[:, -5:]).tolist()
+    results = []
+    for med, sig, tail in zip(meds, sigs, tails):
+        if med < -3.0 * sig:
+            verdict = RatioVerdict.CONVERGENT
+        elif med > 3.0 * sig:
+            verdict = RatioVerdict.DIVERGENT
+        else:
+            verdict = RatioVerdict.INCONCLUSIVE
+        results.append(RatioTestResult(
+            verdict=verdict, estimate=math.exp(med), sigma=sig,
+            n_ratios=log_ratios.shape[1], tail_samples=tuple(tail)))
+    return results
+
+
+def _ratio_tests(logs: np.ndarray, window: int) -> list[RatioTestResult]:
+    """``ratio_test_logmag`` of every row; the all-finite rows in one batch."""
+    finite = np.isfinite(logs).all(axis=1)
+    batch = iter(_ratio_kernel(logs[finite], window) if finite.any() else ())
+    return [next(batch) if ok else ratio_test_logmag(row, window)
+            for row, ok in zip(logs, finite)]
 
 
 def ratio_test(terms: Iterable[complex], window: int = DEFAULT_WINDOW) -> RatioTestResult:
@@ -149,39 +165,38 @@ def ratio_test(terms: Iterable[complex], window: int = DEFAULT_WINDOW) -> RatioT
 # log-magnitude term sequences for the three series
 
 
-def _wbar_log_terms(params: DeformationParams, y: float, count: int) -> np.ndarray:
-    if y == 0:
+# Each takes cum = cumsum(log|[n]|), n = 1..count, and gives one row of
+# log|t_n|, n = 0..count, per sample point.
+
+
+def _log_factorials(count: int) -> np.ndarray:
+    return np.array([math.lgamma(k + 1) for k in range(1, count + 1)])
+
+
+def _wbar_log_terms(cum: np.ndarray, ys: Sequence[float],
+                    lgam: np.ndarray) -> np.ndarray:
+    if any(y == 0 for y in ys):
         raise InvalidParameterError("y must be nonzero for a ratio test")
-    la = log_abs_numbers(params, count)
-    cum = np.cumsum(la)
-    n = np.arange(1, count + 1, dtype=float)
-    lgam = np.array([math.lgamma(k + 1) for k in range(1, count + 1)])
-    logs = cum + n * math.log(abs(y)) - lgam - math.log(math.pi)
-    return np.concatenate([[-math.log(math.pi)], logs])
+    n = np.arange(1, len(cum) + 1, dtype=float)
+    log_y = np.array([math.log(abs(y)) for y in ys]).reshape(-1, 1)
+    logs = cum + n * log_y - lgam - math.log(math.pi)
+    return np.hstack([np.full((len(ys), 1), -math.log(math.pi)), logs])
 
 
-def _exp_log_terms(params: DeformationParams, x: float, count: int) -> np.ndarray:
+def _exp_log_terms(cum: np.ndarray, xs: Sequence[float]) -> np.ndarray:
     # |x**n / [n]!| and x**n / |[n]|! have identical magnitudes, so one
     # sequence serves both deformed exponentials
-    la = log_abs_numbers(params, count)
-    cum = np.cumsum(la)
-    n = np.arange(1, count + 1, dtype=float)
-    logs = n * math.log(abs(x)) - cum
-    return np.concatenate([[0.0], logs])
+    n = np.arange(1, len(cum) + 1, dtype=float)
+    log_x = np.array([math.log(abs(x)) for x in xs]).reshape(-1, 1)
+    return np.hstack([np.zeros((len(xs), 1)), n * log_x - cum])
 
 
 def _has_resonance(params: DeformationParams, count: int) -> bool:
     # [n] cancels catastrophically exactly when (qp)**n returns to 1
     if params.is_degenerate:
         return params.q == 0
-    w = params.q * params.p
-    base = w if abs(w) <= 1.0 else 1.0 / w
-    wpow = 1.0 + 0.0j
-    for _ in range(count):
-        wpow *= base
-        if abs(wpow - 1.0) <= 1e-8 * (abs(wpow) + 1.0):
-            return True
-    return False
+    mods, gaps = _unit_powers(params, count)
+    return bool(np.any(gaps <= 1e-8 * (mods + 1.0)))
 
 
 # ----------------------------------------------------------------------
@@ -202,21 +217,17 @@ def proposition1_check(Q: complex, y_samples: Sequence[float], *,
     params = DeformationParams(q=Q, p=Q)
     on_circle = abs(abs(Q) - 1.0) <= MODULUS_TOL
     expected = RatioVerdict.CONVERGENT if on_circle else RatioVerdict.DIVERGENT
-    rows = []
-    resonant = _has_resonance(params, n_terms)
-    for y in y_samples:
-        if resonant:
-            rows.append(Prop1Row(Q=Q, y=float(y), verdict=None,
-                                 estimate=math.nan, expected=expected,
-                                 consistent=True,
-                                 skipped="root-of-unity degeneracy"))
-            continue
-        logs = _wbar_log_terms(params, float(y), n_terms)
-        res = ratio_test_logmag(logs, window=window)
-        rows.append(Prop1Row(Q=Q, y=float(y), verdict=res.verdict,
-                             estimate=res.estimate, expected=expected,
-                             consistent=res.verdict is expected))
-    return rows
+    ys = [float(y) for y in y_samples]
+    if _has_resonance(params, n_terms):
+        return [Prop1Row(Q=Q, y=y, verdict=None, estimate=math.nan,
+                         expected=expected, consistent=True,
+                         skipped="root-of-unity degeneracy") for y in ys]
+    cum = np.cumsum(log_abs_numbers(params, n_terms))
+    results = _ratio_tests(
+        _wbar_log_terms(cum, ys, _log_factorials(n_terms)), window)
+    return [Prop1Row(Q=Q, y=y, verdict=res.verdict, estimate=res.estimate,
+                     expected=expected, consistent=res.verdict is expected)
+            for y, res in zip(ys, results)]
 
 
 _ORDER = {RatioVerdict.CONVERGENT: 0, RatioVerdict.INCONCLUSIVE: 1,
@@ -242,6 +253,7 @@ def proposition2_check(grid: Sequence[DeformationParams],
     """
     if not grid:
         raise InvalidParameterError("grid must be nonempty")
+    lgam = _log_factorials(n_terms)
     rows = []
     for params in grid:
         regime = classify_regime(params)
@@ -255,26 +267,16 @@ def proposition2_check(grid: Sequence[DeformationParams],
                 contradiction=False, note="root-of-unity degeneracy; skipped"))
             continue
 
-        exp_verdicts = []
-        exp_estimates = []
-        exp_tail = ()
-        for frac in x_fractions:
-            x = frac * radius if 0 < radius < math.inf else 5.0 * frac
-            res = ratio_test_logmag(_exp_log_terms(params, x, n_terms), window)
-            exp_verdicts.append(res.verdict)
-            exp_estimates.append(res.estimate)
-            exp_tail = res.tail_samples
-        v_exp = _worst(exp_verdicts)
-
-        wbar_verdicts = []
-        wbar_estimates = []
-        wbar_tail = ()
-        for y in y_samples:
-            res = ratio_test_logmag(_wbar_log_terms(params, y, n_terms), window)
-            wbar_verdicts.append(res.verdict)
-            wbar_estimates.append(res.estimate)
-            wbar_tail = res.tail_samples
-        v_wbar = _worst(wbar_verdicts)
+        xs = [frac * radius if 0 < radius < math.inf else 5.0 * frac
+              for frac in x_fractions]
+        cum = np.cumsum(log_abs_numbers(params, n_terms))
+        results = _ratio_tests(np.vstack([
+            _exp_log_terms(cum, xs), _wbar_log_terms(cum, y_samples, lgam)]),
+            window)
+        exp_res, wbar_res = results[:len(xs)], results[len(xs):]
+        v_exp = _worst([r.verdict for r in exp_res])
+        v_wbar = _worst([r.verdict for r in wbar_res])
+        exp_estimate = max(r.estimate for r in exp_res)
 
         if regime in (Regime.REGIME_I, Regime.REGIME_II):
             contradiction = (v_exp is RatioVerdict.DIVERGENT or
@@ -289,12 +291,12 @@ def proposition2_check(grid: Sequence[DeformationParams],
         rows.append(RegimeVerdict(
             params=params, regime=regime, v_exp1=v_exp, v_exp2=v_exp,
             v_wbar=v_wbar,
-            estimates=(max(exp_estimates), max(exp_estimates),
-                       max(wbar_estimates)),
+            estimates=(exp_estimate, exp_estimate,
+                       max(r.estimate for r in wbar_res)),
             boundary_margin=boundary_margin(params),
             contradiction=contradiction, note=note,
-            evidence={"exp_ratio_tail": exp_tail,
-                      "wbar_ratio_tail": wbar_tail}))
+            evidence={"exp_ratio_tail": exp_res[-1].tail_samples,
+                      "wbar_ratio_tail": wbar_res[-1].tail_samples}))
     return rows
 
 
@@ -359,12 +361,8 @@ def _verdict_str(v: Optional[RatioVerdict]) -> str:
 
 
 def regime_report_to_csv(rows: Sequence[RegimeVerdict], file_or_path) -> None:
-    close = False
-    if not hasattr(file_or_path, "write"):
-        file_or_path = open(file_or_path, "w", newline="", encoding="utf-8")
-        close = True
-    try:
-        writer = csv.writer(file_or_path, lineterminator="\n")
+    with open_output(file_or_path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["q_re", "q_im", "p_re", "p_im", "regime",
                          "v_exp1", "v_exp2", "v_wbar", "ratio_estimates"])
         for row in rows:
@@ -377,9 +375,6 @@ def regime_report_to_csv(rows: Sequence[RegimeVerdict], file_or_path) -> None:
                 _verdict_str(row.v_wbar),
                 ";".join(format_float(e) for e in row.estimates),
             ])
-    finally:
-        if close:
-            file_or_path.close()
 
 
 def regime_report_to_json(rows: Sequence[RegimeVerdict], file_or_path) -> None:
@@ -397,13 +392,6 @@ def regime_report_to_json(rows: Sequence[RegimeVerdict], file_or_path) -> None:
             "contradiction": row.contradiction,
             "note": row.note,
         })
-    close = False
-    if not hasattr(file_or_path, "write"):
-        file_or_path = open(file_or_path, "w", encoding="utf-8")
-        close = True
-    try:
-        json.dump(payload, file_or_path, indent=2)
-        file_or_path.write("\n")
-    finally:
-        if close:
-            file_or_path.close()
+    with open_output(file_or_path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")

@@ -180,31 +180,39 @@ def qp_sequence(n_max: int, params: DeformationParams) -> QNumberSequence:
     )
 
 
+def _unit_powers(params: DeformationParams, count: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """|w**n| and |w**n - 1| for n = 1..count, w = qp if |qp| <= 1 else 1/(qp).
+
+    ``np.cumprod`` forms the same products in the same order as a running
+    product from 1, and ``np.hypot`` rounds as the built-in complex ``abs``
+    does (``np.abs`` of a complex array does not), so both are byte-identical
+    to the scalar loop.
+    """
+    w = params.q * params.p
+    base = w if abs(w) <= 1.0 else 1.0 / w
+    powers = np.cumprod(np.full(count, base))
+    gaps = powers - 1.0
+    return np.hypot(powers.real, powers.imag), np.hypot(gaps.real, gaps.imag)
+
+
 def log_abs_numbers(params: DeformationParams, count: int) -> np.ndarray:
     """log|[n]| for n = 1..count, stable at any scale.
 
     Uses q**n - p**(-n) = p**(-n) ((qp)**n - 1) when |qp| <= 1 and
-    q**n (1 - (qp)**(-n)) otherwise, so neither running power can overflow.
+    q**n (1 - (qp)**(-n)) otherwise, so neither power can overflow.
     Resonant cancellations come out as large negative values (log of a tiny
-    modulus), never as NaN.
+    modulus), or -inf for an exact zero, never as NaN.
     """
-    out = np.empty(count, dtype=float)
+    n = np.arange(1, count + 1, dtype=float)
     if params.is_degenerate:
         la_q = np.log(abs(params.q)) if params.q != 0 else -np.inf
-        n = np.arange(1, count + 1, dtype=float)
         return np.log(n) + (n - 1) * la_q
-    w = params.q * params.p
-    aw = abs(w)
-    if aw <= 1.0:
-        base = w
+    if abs(params.q * params.p) <= 1.0:
         la_lead = -np.log(abs(params.p))
     else:
-        base = 1.0 / w
         la_lead = np.log(abs(params.q))
     la_denom = np.log(abs(params.denom))
-    wpow = 1.0 + 0.0j
-    for i in range(count):
-        wpow *= base
-        resid = abs(wpow - 1.0)
-        out[i] = (i + 1) * la_lead + (np.log(resid) if resid > 0 else -np.inf) - la_denom
-    return out
+    with np.errstate(divide="ignore"):
+        log_resid = np.log(_unit_powers(params, count)[1])
+    return n * la_lead + log_resid - la_denom

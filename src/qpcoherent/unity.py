@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -126,6 +127,19 @@ def _require_disk(radius: float) -> None:
 def format_float(v: float) -> str:
     """Fixed 17-significant-digit scientific notation for diffable output."""
     return f"{v:.16e}"
+
+
+@contextmanager
+def open_output(file_or_path):
+    """Yield an open file as is, or open a path for UTF-8 text and close it.
+
+    A path is opened with ``newline=""``, so line ends are written untranslated.
+    """
+    if hasattr(file_or_path, "write"):
+        yield file_or_path
+    else:
+        with open(file_or_path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
 
 
 # ----------------------------------------------------------------------
@@ -635,19 +649,12 @@ def identity_matrix_2d(weight: WeightFunction, params: DeformationParams,
 # export
 
 
-def _as_file(file_or_path, mode="w"):
-    if hasattr(file_or_path, "write"):
-        return file_or_path, False
-    return open(file_or_path, mode, encoding="utf-8"), True
-
-
 def weight_to_csv(weight: WeightFunction, params: DeformationParams,
                   file_or_path, *, series_cap: int = _GRID_SERIES_CAP) -> None:
     """Columns x, wtilde, w_physical (plus wtilde_imag for Fourier results)."""
     phys = physical_weight(weight, params, series_cap=series_cap)
     imag = weight.diagnostics.get("grid_imag")
-    fh, own = _as_file(file_or_path)
-    try:
+    with open_output(file_or_path) as fh:
         header = "x,wtilde,w_physical"
         if imag is not None:
             header += ",wtilde_imag"
@@ -658,9 +665,6 @@ def weight_to_csv(weight: WeightFunction, params: DeformationParams,
             if imag is not None:
                 row.append(format_float(imag[i]))
             fh.write(",".join(row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def weight_to_json(weight: WeightFunction, file_or_path) -> None:
@@ -682,10 +686,6 @@ def weight_to_json(weight: WeightFunction, file_or_path) -> None:
             "wtilde": [format_float(v) for v in weight.grid_w],
         },
     }
-    fh, own = _as_file(file_or_path)
-    try:
+    with open_output(file_or_path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    finally:
-        if own:
-            fh.close()

@@ -166,6 +166,24 @@ def test_verify_quon_passes(tmp_path):
     assert code == 0
 
 
+def test_verify_reports_a_raising_check_as_a_failed_row(tmp_path, capsys):
+    # at q = 0.99 the resolution audit's quadrature cannot settle; that is one
+    # failed row, and every check still runs
+    code, text = run_cli(["verify", "--q", "0.99", "--p", "1"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    rows = parse_csv(text)
+    assert [r["check"] for r in rows] == [
+        "regime", "fock_relations", "normalization", "annihilator",
+        "continuity", "overlap_consistency", "moment_residuals",
+        "resolution_residual"]
+    assert all(r["passed"] == "true" for r in rows[:6])
+    last = rows[-1]
+    assert last["passed"] == "false" and last["value"] == ""
+    assert last["note"].startswith("QuadratureError: moment ratios did not "
+                                   "stabilize")
+
+
 def test_verify_outside_regime_fails_with_diagnosis(tmp_path):
     code, text = run_cli(["verify", "--q", "2", "--p", "1"], tmp_path)
     assert code == 1
@@ -216,3 +234,22 @@ def test_json_output_format(tmp_path):
     payload = json.loads(text)
     assert payload[2]["n"] == "2"
     assert float(payload[2]["number_re"]) == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("args", [
+    ["qnum", "--q", "0.5", "--p", "1.2"],
+    ["exp", "--q", "0.5", "--p", "1", "--x", "0.7", "--format", "json"],
+    ["coherent", "--q", "0.5", "--p", "1", "--z", "0.4"],
+    ["fock-check", "--q", "1j", "--p", "1.5", "--dim", "8"],
+    ["weight", "--q", "0.5", "--p", "1", "--grid-points", "17"],
+    ["weight", "--q", "0.5", "--p", "1", "--grid-points", "17",
+     "--format", "json"],
+    ["verify", "--q", "0.5", "--p", "1", "--dim", "8"],
+    ["regimes", "--prop", "1", "--format", "json"],
+])
+def test_out_file_matches_stdout(args, tmp_path, capsys):
+    code = main(args)
+    printed = capsys.readouterr().out
+    assert main(args + ["--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "o").read_bytes() == printed.encode()

@@ -1,23 +1,30 @@
 import cmath
 import io
 import math
+import random
 
+import numpy as np
 import pytest
 
 from qpcoherent import (
     DeformationParams,
     InvalidParameterError,
+    Prop1Row,
     RatioVerdict,
     Regime,
+    RegimeVerdict,
     boundary_margin,
     classify_regime,
+    convergence_radius,
     default_parameter_grid,
     proposition1_check,
     proposition2_check,
     ratio_test,
+    ratio_test_logmag,
     regime_report_to_csv,
     regime_report_to_json,
 )
+from qpcoherent.convergence import _ratio_tests, _worst
 
 
 def test_classify_examples():
@@ -191,3 +198,165 @@ def test_json_report_roundtrip():
     payload = json.loads(buf.getvalue())
     assert payload[0]["regime"] == "RegimeI"
     assert payload[0]["contradiction"] is False
+
+
+# ----------------------------------------------------------------------
+# scalar reference for the proposition checks: running powers with the
+# built-in abs, one log sequence and one ratio_test_logmag per series
+
+
+def _ref_powers(params, count):
+    w = params.q * params.p
+    base = w if abs(w) <= 1.0 else 1.0 / w
+    wpow = 1.0 + 0.0j
+    for _ in range(count):
+        wpow *= base
+        yield wpow
+
+
+def _ref_log_abs_numbers(params, count):
+    if params.is_degenerate:
+        la_q = np.log(abs(params.q)) if params.q != 0 else -np.inf
+        n = np.arange(1, count + 1, dtype=float)
+        return np.log(n) + (n - 1) * la_q
+    if abs(params.q * params.p) <= 1.0:
+        la_lead = -np.log(abs(params.p))
+    else:
+        la_lead = np.log(abs(params.q))
+    la_denom = np.log(abs(params.denom))
+    out = []
+    for n, wpow in enumerate(_ref_powers(params, count), start=1):
+        resid = abs(wpow - 1.0)
+        out.append(n * la_lead + (np.log(resid) if resid > 0 else -np.inf)
+                   - la_denom)
+    return np.array(out)
+
+
+def _ref_resonant(params, count):
+    if params.is_degenerate:
+        return params.q == 0
+    return any(abs(wpow - 1.0) <= 1e-8 * (abs(wpow) + 1.0)
+               for wpow in _ref_powers(params, count))
+
+
+def _ref_wbar_test(params, y, count, window):
+    n = np.arange(1, count + 1, dtype=float)
+    cum = np.cumsum(_ref_log_abs_numbers(params, count))
+    lgam = np.array([math.lgamma(k + 1) for k in range(1, count + 1)])
+    logs = cum + n * math.log(abs(y)) - lgam - math.log(math.pi)
+    return ratio_test_logmag(np.concatenate([[-math.log(math.pi)], logs]), window)
+
+
+def _ref_exp_test(params, x, count, window):
+    n = np.arange(1, count + 1, dtype=float)
+    cum = np.cumsum(_ref_log_abs_numbers(params, count))
+    logs = n * math.log(abs(x)) - cum
+    return ratio_test_logmag(np.concatenate([[0.0], logs]), window)
+
+
+def _ref_prop2(grid, ys, fracs, n_terms=300, window=50):
+    rows = []
+    for params in grid:
+        regime = classify_regime(params)
+        margin = boundary_margin(params)
+        if _ref_resonant(params, n_terms):
+            rows.append(RegimeVerdict(
+                params=params, regime=regime, v_exp1=None, v_exp2=None,
+                v_wbar=None, estimates=(math.nan,) * 3, boundary_margin=margin,
+                contradiction=False, note="root-of-unity degeneracy; skipped"))
+            continue
+        radius = convergence_radius(params)
+        exp = [_ref_exp_test(params, f * radius if 0 < radius < math.inf
+                             else 5.0 * f, n_terms, window) for f in fracs]
+        wbar = [_ref_wbar_test(params, y, n_terms, window) for y in ys]
+        v_exp = _worst([r.verdict for r in exp])
+        v_wbar = _worst([r.verdict for r in wbar])
+        divergent = RatioVerdict.DIVERGENT in (v_exp, v_wbar)
+        contradiction, note = divergent, ""
+        if regime is Regime.OUTSIDE:
+            contradiction = not divergent
+        elif regime is Regime.DEGENERATE:
+            contradiction = False
+            note = "degenerate branch; not covered by the regime dichotomy"
+        e_exp = max(r.estimate for r in exp)
+        rows.append(RegimeVerdict(
+            params=params, regime=regime, v_exp1=v_exp, v_exp2=v_exp,
+            v_wbar=v_wbar,
+            estimates=(e_exp, e_exp, max(r.estimate for r in wbar)),
+            boundary_margin=margin, contradiction=contradiction, note=note,
+            evidence={"exp_ratio_tail": exp[-1].tail_samples,
+                      "wbar_ratio_tail": wbar[-1].tail_samples}))
+    return rows
+
+
+def _seeded_grid(seed, size=40):
+    rng = random.Random(seed)
+    grid = [DeformationParams(0.5j, -2j),                 # degenerate, R = 0
+            DeformationParams(1.25 * cmath.exp(0.3j), 0.8 * cmath.exp(-0.3j)),
+            DeformationParams(1.0, 1.0),
+            DeformationParams(1j, 1j),                    # (qp)**2 = 1 exactly
+            DeformationParams(cmath.exp(1j * math.pi / 3), 1.0),
+            DeformationParams(0.5 * cmath.exp(0.3j),
+                              2.0 * cmath.exp(1j * (2 * math.pi / 5 - 0.3)))]
+    while len(grid) < size:
+        q = cmath.rect(rng.uniform(0.2, 2.0), rng.uniform(-math.pi, math.pi))
+        p_mod = rng.choice((1.0, rng.uniform(0.3, 2.5)))
+        p = cmath.rect(p_mod, rng.uniform(-math.pi, math.pi))
+        if rng.random() < 0.3:
+            q = cmath.rect(1.0, rng.uniform(-math.pi, math.pi))
+        grid.append(DeformationParams(q, p))
+    return grid
+
+
+def test_prop2_matches_scalar_reference_on_default_grid():
+    grid = default_parameter_grid()
+    got = proposition2_check(grid)
+    assert repr(got) == repr(_ref_prop2(grid, (0.5, 1.0, 2.0), (0.5,)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_prop2_matches_scalar_reference_on_seeded_grid(seed):
+    grid = _seeded_grid(seed)
+    ys, fracs = (0.25, 1.5, 3.0), (0.2, 0.5, 0.9)
+    got = proposition2_check(grid, ys, fracs)
+    assert repr(got) == repr(_ref_prop2(grid, ys, fracs))
+    assert any(r.regime is Regime.DEGENERATE for r in got)
+    assert any("root-of-unity" in r.note for r in got)
+    assert any(abs(r.params.q * r.params.p) > 1 and r.v_wbar is not None
+               for r in got)
+
+
+@pytest.mark.parametrize("Q", [0.7 * cmath.exp(0.4j), 1.6 * cmath.exp(2.0j),
+                               cmath.exp(0.81j), cmath.exp(1j * math.pi / 7),
+                               cmath.exp(2.9j)])
+def test_prop1_matches_scalar_reference(Q):
+    ys = (0.5, 1.0, 3.0)
+    params = DeformationParams(Q, Q)
+    expected = (RatioVerdict.CONVERGENT if abs(abs(Q) - 1.0) <= 1e-9
+                else RatioVerdict.DIVERGENT)
+    if _ref_resonant(params, 400):
+        want = [Prop1Row(Q=Q, y=y, verdict=None, estimate=math.nan,
+                         expected=expected, consistent=True,
+                         skipped="root-of-unity degeneracy") for y in ys]
+    else:
+        want = []
+        for y in ys:
+            res = _ref_wbar_test(params, y, 400, 100)
+            want.append(Prop1Row(Q=Q, y=y, verdict=res.verdict,
+                                 estimate=res.estimate, expected=expected,
+                                 consistent=res.verdict is expected))
+    assert repr(proposition1_check(Q, ys)) == repr(want)
+
+
+def test_batched_ratio_tests_match_one_row_tests():
+    rng = np.random.default_rng(7)
+    rows = np.cumsum(rng.normal(-0.5, 0.3, size=(4, 160)), axis=1)
+    rows[1, 40] = -np.inf      # a vanishing term
+    rows[2, 155] = np.nan
+    got = _ratio_tests(rows, 50)
+    assert repr(got) == repr([ratio_test_logmag(row, 50) for row in rows])
+    # the kernel is the plain median / std of the last log-ratios
+    for row, res in zip(rows, got):
+        tail = np.diff(row[np.isfinite(row)])[-50:]
+        assert res.estimate == math.exp(float(np.median(tail)))
+        assert res.sigma == float(np.std(tail))

@@ -1,6 +1,8 @@
 import cmath
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -12,6 +14,7 @@ from qpcoherent import (
     qp_number_special,
     qp_sequence,
 )
+from qpcoherent.qnumbers import log_abs_numbers
 
 from oracles import ref_number
 
@@ -182,3 +185,29 @@ def test_against_arbitrary_precision_oracle(n, q, p):
     got = qp_number(n, params)
     ref = complex(ref_number(n, q, p))
     assert got == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("q, p", [
+    (0.5 * cmath.exp(0.7j), 1.3 * cmath.exp(-2.1j)),   # |qp| < 1
+    (1.6 * cmath.exp(2.4j), 0.9 * cmath.exp(0.3j)),    # |qp| > 1
+    (cmath.exp(1.1j), 1.0),                            # |qp| = 1
+    (0.5j, -2j),                                       # degenerate, qp = 1
+])
+def test_log_abs_numbers_against_oracle(q, p):
+    params = DeformationParams(q, p)
+    got = log_abs_numbers(params, 120)
+    with mp.workdps(50):
+        want = [float(mp.log(abs(ref_number(n, q, p)))) for n in range(1, 121)]
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_log_abs_numbers_exact_resonance_is_minus_inf():
+    # q = p = i: qp = -1, so (qp)**2 = 1 exactly and every even [n] is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_abs_numbers(DeformationParams(1j, 1j), 40)
+    assert np.all(np.isneginf(got[1::2]))
+    with mp.workdps(50):
+        want = [float(mp.log(abs(ref_number(n, 1j, 1j)))) for n in range(1, 41, 2)]
+    assert np.max(np.abs(got[0::2] - want)) <= 1e-13
