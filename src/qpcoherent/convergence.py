@@ -144,11 +144,10 @@ def _ratio_kernel(logs: np.ndarray, window: int) -> list[RatioTestResult]:
 
 
 def _ratio_tests(logs: np.ndarray, window: int) -> list[RatioTestResult]:
-    """``ratio_test_logmag`` of every row; the all-finite rows in one batch."""
-    finite = np.isfinite(logs).all(axis=1)
-    batch = iter(_ratio_kernel(logs[finite], window) if finite.any() else ())
-    return [next(batch) if ok else ratio_test_logmag(row, window)
-            for row, ok in zip(logs, finite)]
+    """``ratio_test_logmag`` of every row, in one batch when all are finite."""
+    if np.isfinite(logs).all():
+        return _ratio_kernel(logs, window)
+    return [ratio_test_logmag(row, window) for row in logs]
 
 
 def ratio_test(terms: Iterable[complex], window: int = DEFAULT_WINDOW) -> RatioTestResult:
