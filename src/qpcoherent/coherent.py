@@ -25,7 +25,7 @@ from .errors import (
     SeriesDivergenceError,
 )
 from .fock import FockOperators
-from .qnumbers import DeformationParams, iter_numbers
+from .qnumbers import DeformationParams, _numbers
 
 # states never report a tail below the double-rounding floor
 _TAIL_FLOOR = 1e-14
@@ -88,15 +88,8 @@ def make_state(
     elif dim < 1:
         raise InvalidParameterError("dim must be positive")
 
-    coeffs = np.zeros(dim, dtype=complex)
     scale = 1.0 / math.sqrt(ev.value.real) if normalize else 1.0
-    coeffs[0] = scale
-    gen = iter_numbers(params)
-    for n in range(1, dim):
-        value, resonant = next(gen)
-        if resonant or value == 0:
-            raise RootOfUnityDegeneracyError(n)
-        coeffs[n] = coeffs[n - 1] * z / np.sqrt(value)
+    coeffs = _continued_coeffs([scale], dim, z, params)
     coeffs.flags.writeable = False
 
     if normalize:
@@ -118,21 +111,21 @@ def _check_pair(s1: CoherentState, s2: CoherentState) -> None:
         raise InvalidParameterError("overlap is defined for normalized states")
 
 
-def _extended_coeffs(state: CoherentState, length: int) -> np.ndarray:
-    # the recurrence does not depend on the truncation, so a shorter state can
-    # be continued; the normalization constant is already dim-independent
-    if length <= state.dim:
-        return state.coeffs[:length]
+def _continued_coeffs(head, length: int, z: complex,
+                      params: DeformationParams) -> np.ndarray:
+    """``head`` continued to ``length`` entries by c_n = c_{n-1} z / sqrt([n]).
+
+    The recurrence does not depend on the truncation, so a shorter state can
+    be continued. It stays a loop: a vectorized product rounds differently.
+    """
     out = np.zeros(length, dtype=complex)
-    out[: state.dim] = state.coeffs
-    gen = iter_numbers(state.params)
-    for n in range(1, length):
-        value, resonant = next(gen)
-        if n < state.dim:
-            continue
-        if resonant or value == 0:
+    out[: len(head)] = head
+    numbers, resonant = _numbers(params, length - 1)
+    roots = np.sqrt(numbers)
+    for n in range(len(head), length):
+        if resonant[n - 1]:
             raise RootOfUnityDegeneracyError(n)
-        out[n] = out[n - 1] * state.z / np.sqrt(value)
+        out[n] = out[n - 1] * z / roots[n - 1]
     return out
 
 
@@ -147,7 +140,8 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     """
     _check_pair(s1, s2)
     m = max(s1.dim, s2.dim)
-    ip = complex(np.vdot(_extended_coeffs(s1, m), _extended_coeffs(s2, m)))
+    c1, c2 = (_continued_coeffs(s.coeffs, m, s.z, s.params) for s in (s1, s2))
+    ip = complex(np.vdot(c1, c2))
     cross = exp2(np.conj(s1.z) * s2.z, s1.params,
                  SeriesControl(n_max=1000, tol=1e-13, min_terms=10))
     if cross.verdict is not Verdict.CONVERGED:

@@ -17,7 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParameterError, RootOfUnityDegeneracyError
+from .errors import (
+    InvalidParameterError,
+    ParameterMismatchError,
+    RootOfUnityDegeneracyError,
+)
 from .qnumbers import DeformationParams, QNumberSequence, iter_numbers
 
 
@@ -84,6 +88,12 @@ def _sum_series(
     use_abs: bool,
     seq: Optional[QNumberSequence],
 ) -> SeriesEvaluation:
+    n_max = ctrl.n_max
+    if seq is not None:
+        if seq.params is None or (seq.params.q, seq.params.p) != (params.q, params.p):
+            raise ParameterMismatchError("sequence was built from different parameters")
+        n_max = min(n_max, seq.n_max)
+
     radius = convergence_radius(params)
     ax = abs(x)
     if ax >= radius and ax > 0:
@@ -96,19 +106,10 @@ def _sum_series(
     prev_abs = 1.0
     xl = np.clongdouble(x)
 
-    if seq is not None:
-        numbers = ((seq.numbers[n], seq.resonance_index == n) for n in range(1, seq.n_max + 1))
-    else:
-        numbers = iter_numbers(params)
-
     n = 0
     tail = math.inf
-    for value, resonant in numbers:
-        n += 1
-        if n > ctrl.n_max:
-            n -= 1
-            break
-        if resonant or value == 0:
+    for n, (value, resonant) in zip(range(1, n_max + 1), iter_numbers(params)):
+        if resonant:
             raise RootOfUnityDegeneracyError(n)
         term = term * (xl / np.clongdouble(abs(value) if use_abs else value))
         total = total + term
@@ -138,8 +139,8 @@ def exp1(
 
     Inputs on or beyond the convergence disk return a DivergentInput verdict
     rather than raising; a vanishing [n] below the truncation raises
-    RootOfUnityDegeneracyError. An existing QNumberSequence can be shared
-    read-only via ``seq``.
+    RootOfUnityDegeneracyError. A QNumberSequence passed as ``seq`` must carry
+    the same (q, p); it caps the terms at its ``n_max``.
     """
     return _sum_series(complex(x), params, ctrl, use_abs=False, seq=seq)
 

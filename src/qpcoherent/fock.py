@@ -15,7 +15,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, ParameterMismatchError
-from .qnumbers import DeformationParams, QNumberSequence, qp_sequence
+from .qnumbers import (
+    DeformationParams,
+    QNumberSequence,
+    _moduli,
+    _running_products,
+    qp_sequence,
+)
 
 
 @dataclass(frozen=True)
@@ -75,12 +81,8 @@ def build_operators(dim: int, params: DeformationParams) -> FockOperators:
     """Build a, a+, delta, delta_prime and p**(-N) at truncation ``dim``."""
     if dim < 2:
         raise InvalidParameterError("dim must be at least 2")
-    seq = qp_sequence(dim, params)
-    p_inv = params.p_inv
-    p_pow = np.ones(dim, dtype=complex)
-    for n in range(1, dim):
-        p_pow[n] = p_pow[n - 1] * p_inv
-    return _assemble(dim, seq, params.q, np.diag(p_pow), params)
+    p_pow = np.diag(_running_products(np.full(dim - 1, params.p_inv)))
+    return _assemble(dim, qp_sequence(dim, params), params.q, p_pow, params)
 
 
 def custom_basket_operators(dim: int, basket: Sequence[complex],
@@ -100,11 +102,8 @@ def custom_basket_operators(dim: int, basket: Sequence[complex],
         raise InvalidParameterError("basket[0] must be 0")
     n_max = min(len(basket) - 1, dim)
     numbers = basket[: n_max + 1].copy()
-    factorials = np.ones(n_max + 1, dtype=complex)
-    abs_factorials = np.ones(n_max + 1, dtype=float)
-    for n in range(1, n_max + 1):
-        factorials[n] = factorials[n - 1] * numbers[n]
-        abs_factorials[n] = abs_factorials[n - 1] * abs(numbers[n])
+    factorials = _running_products(numbers[1:])
+    abs_factorials = _running_products(_moduli(numbers[1:]))
     _freeze(numbers, factorials, abs_factorials)
     seq = QNumberSequence(params=None, n_max=n_max, numbers=numbers,
                           factorials=factorials, abs_factorials=abs_factorials)
@@ -140,13 +139,7 @@ def relation_residuals(ops: FockOperators,
     r2 = _block_max(a @ d - q * (d @ a) - dp @ a, k)
     r3 = _block_max(d @ ad - q * (ad @ d) - ad @ dp, k)
     if params is not None:
-        if ops.p_pow_neg_N is not None:
-            p_pow = ops.p_pow_neg_N
-        else:
-            diag = np.ones(ops.dim, dtype=complex)
-            for n in range(1, ops.dim):
-                diag[n] = diag[n - 1] * params.p_inv
-            p_pow = np.diag(diag)
+        p_pow = np.diag(_running_products(np.full(ops.dim - 1, params.p_inv)))
         r4 = _block_max(a @ ad - params.q * (ad @ a) - p_pow, k)
     else:
         r4 = float("nan")

@@ -33,7 +33,6 @@ class DeformationParams:
 
     q: complex
     p: complex
-    degeneracy_threshold: float = DEGENERACY_THRESHOLD
 
     def __post_init__(self):
         object.__setattr__(self, "q", complex(self.q))
@@ -51,7 +50,7 @@ class DeformationParams:
 
     @property
     def is_degenerate(self) -> bool:
-        return abs(self.denom) < self.degeneracy_threshold
+        return abs(self.denom) < DEGENERACY_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,8 @@ class QNumberSequence:
     ``abs_factorials`` is the running product of |[k]| (not |factorials|
     recomputed); the two agree to rounding. ``overflow_index`` is the first n
     whose factorial is no longer finite in double precision, ``resonance_index``
-    the first n >= 1 whose [n] is a catastrophic cancellation (treated as an
-    exact zero by consumers that would divide by it).
+    the first n >= 1 whose [n] is zero or a catastrophic cancellation (treated
+    as an exact zero by consumers that would divide by it).
     """
 
     params: Optional[DeformationParams]
@@ -74,33 +73,67 @@ class QNumberSequence:
     resonance_index: Optional[int] = None
 
 
-def _degenerate_number(n: int, q: complex) -> complex:
-    # limit of the direct formula as p -> 1/q
-    qpow = 1.0 + 0.0j
-    for _ in range(n - 1):
-        qpow *= q
-    return n * qpow
+def _running_products(factors: np.ndarray) -> np.ndarray:
+    """1, f[0], f[0] f[1], ...: one more entry than ``factors``.
+
+    ``np.cumprod`` from a leading 1 multiplies in the same order, with the
+    same complex product formula, as a scalar running product from 1 + 0j.
+    """
+    return np.cumprod(np.concatenate([np.ones(1, factors.dtype), factors]))
+
+
+def _moduli(z: np.ndarray) -> np.ndarray:
+    # np.hypot rounds as the built-in complex abs does; np.abs does not
+    return np.hypot(z.real, z.imag)
+
+
+def _numbers(params: DeformationParams, count: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """[n] and its resonance flag for n = 1..count, as arrays.
+
+    A flagged [n] is an exact zero or, off the degenerate set, a numerator
+    cancellation below RESONANCE_RTOL relative to its natural scale,
+    |q**n| + |p**(-n)|. Callers dividing by [n] must treat it as zero.
+    The division by q - 1/p applies CPython's rule for complex division
+    (Smith, CACM Algorithm 116, 1962) to the real and imaginary parts, so
+    every entry equals the scalar running-product formula bit for bit;
+    numpy's complex ``/`` rounds differently.
+    """
+    out = np.empty(count, dtype=complex)
+    with np.errstate(all="ignore"):
+        if params.is_degenerate:
+            # limit of the direct formula as p -> 1/q: n q**(n-1), with the
+            # integer n taken as the complex n + 0j
+            n = np.arange(1, count + 1, dtype=float)
+            qpow = _running_products(np.full(count, params.q))[:-1]
+            out.real = n * qpow.real - 0.0 * qpow.imag
+            out.imag = n * qpow.imag + 0.0 * qpow.real
+            return out, out == 0
+        qn = _running_products(np.full(count, params.q))[1:]
+        pn = _running_products(np.full(count, params.p_inv))[1:]
+        num = qn - pn
+        a, b, d = num.real, num.imag, params.denom
+        if abs(d.real) >= abs(d.imag):
+            ratio = d.imag / d.real
+            den = d.real + d.imag * ratio
+            out.real = (a + b * ratio) / den
+            out.imag = (b - a * ratio) / den
+        else:
+            ratio = d.real / d.imag
+            den = d.real * ratio + d.imag
+            out.real = (a * ratio + b) / den
+            out.imag = (b * ratio - a) / den
+        cancelled = _moduli(num) <= RESONANCE_RTOL * (_moduli(qn) + _moduli(pn))
+        return out, cancelled | (out == 0)
 
 
 def qp_number(n: int, params: DeformationParams) -> complex:
-    """The n-th deformed number [n]; exact 0 at n = 0.
-
-    Powers are accumulated by running products so that exactly representable
-    inputs give reproducible results.
-    """
+    """The n-th deformed number [n]; exact 0 at n = 0."""
     if n < 0:
         raise InvalidParameterError("n must be a nonnegative integer")
     if n == 0:
         return 0.0 + 0.0j
-    if params.is_degenerate:
-        return _degenerate_number(n, params.q)
-    qn = 1.0 + 0.0j
-    pn = 1.0 + 0.0j
-    p_inv = params.p_inv
-    for _ in range(n):
-        qn *= params.q
-        pn *= p_inv
-    return (qn - pn) / params.denom
+    return complex(_numbers(params, n)[0][-1])
 
 
 def qp_number_special(n: int, Q: complex) -> complex:
@@ -116,57 +149,28 @@ def qp_number_special(n: int, Q: complex) -> complex:
 
 
 def iter_numbers(params: DeformationParams) -> Iterator[tuple[complex, bool]]:
-    """Yield ([n], resonant) for n = 1, 2, ... without storing the sequence.
+    """Yield ([n], resonant) for n = 1, 2, ... as Python scalars.
 
-    ``resonant`` marks a numerator cancellation below RESONANCE_RTOL relative
-    to its natural scale; callers dividing by [n] must treat it as zero.
+    A view over ``_numbers``: the arrays are rebuilt in blocks of 64, 128, ...
+    terms, so a consumer that stops early never builds up to its cap.
     """
-    if params.is_degenerate:
-        q = params.q
-        qpow = 1.0 + 0.0j
-        n = 1
-        while True:
-            value = n * qpow
-            yield value, value == 0
-            qpow *= q
-            n += 1
-    else:
-        qn = 1.0 + 0.0j
-        pn = 1.0 + 0.0j
-        p_inv = params.p_inv
-        denom = params.denom
-        while True:
-            qn *= params.q
-            pn *= p_inv
-            num = qn - pn
-            scale = abs(qn) + abs(pn)
-            yield num / denom, abs(num) <= RESONANCE_RTOL * scale
+    start, count = 0, 64
+    while True:
+        values, resonant = _numbers(params, count)
+        yield from zip(values[start:].tolist(), resonant[start:].tolist())
+        start, count = count, 2 * count
 
 
 def qp_sequence(n_max: int, params: DeformationParams) -> QNumberSequence:
     """Fill numbers, factorials and modulus-factorials up to n_max."""
     if n_max < 0:
         raise InvalidParameterError("n_max must be a nonnegative integer")
-    numbers = np.zeros(n_max + 1, dtype=complex)
-    factorials = np.ones(n_max + 1, dtype=complex)
-    abs_factorials = np.ones(n_max + 1, dtype=float)
-    overflow_index = None
-    resonance_index = None
-    gen = iter_numbers(params)
+    values, resonant = _numbers(params, n_max)
+    numbers = np.concatenate([np.zeros(1, complex), np.where(resonant, 0, values)])
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_max + 1):
-            value, resonant = next(gen)
-            if resonant and resonance_index is None:
-                resonance_index = n
-            if resonant:
-                value = 0.0 + 0.0j
-            numbers[n] = value
-            factorials[n] = factorials[n - 1] * value
-            abs_factorials[n] = abs_factorials[n - 1] * abs(value)
-            if overflow_index is None and not (
-                np.isfinite(factorials[n]) and np.isfinite(abs_factorials[n])
-            ):
-                overflow_index = n
+        factorials = _running_products(numbers[1:])
+        abs_factorials = _running_products(_moduli(numbers[1:]))
+    overflow = ~(np.isfinite(factorials) & np.isfinite(abs_factorials))
     for arr in (numbers, factorials, abs_factorials):
         arr.flags.writeable = False
     return QNumberSequence(
@@ -175,8 +179,8 @@ def qp_sequence(n_max: int, params: DeformationParams) -> QNumberSequence:
         numbers=numbers,
         factorials=factorials,
         abs_factorials=abs_factorials,
-        overflow_index=overflow_index,
-        resonance_index=resonance_index,
+        overflow_index=int(np.argmax(overflow)) if overflow.any() else None,
+        resonance_index=int(np.argmax(resonant)) + 1 if resonant.any() else None,
     )
 
 
@@ -206,8 +210,9 @@ def log_abs_numbers(params: DeformationParams, count: int) -> np.ndarray:
     """
     n = np.arange(1, count + 1, dtype=float)
     if params.is_degenerate:
-        la_q = np.log(abs(params.q)) if params.q != 0 else -np.inf
-        return np.log(n) + (n - 1) * la_q
+        if params.q == 0:   # [1] = 1, and [n] = 0 beyond
+            return np.where(n == 1, 0.0, -np.inf)
+        return np.log(n) + (n - 1) * np.log(abs(params.q))
     if abs(params.q * params.p) <= 1.0:
         la_lead = -np.log(abs(params.p))
     else:

@@ -45,7 +45,7 @@ from .errors import (
     RootOfUnityDegeneracyError,
     SeriesDivergenceError,
 )
-from .qnumbers import DeformationParams, iter_numbers, qp_sequence
+from .qnumbers import DeformationParams, _running_products, iter_numbers, qp_sequence
 
 CONDITION_LIMIT = 1e12
 
@@ -177,13 +177,7 @@ def wbar_series(y: float, params: DeformationParams,
     prev_abs = float(abs(term))
     tail = math.inf
     ratios: list[float] = []
-    gen = iter_numbers(params)
-    n = 0
-    for value, _resonant in gen:
-        n += 1
-        if n > ctrl.n_max:
-            n -= 1
-            break
+    for n, (value, _resonant) in zip(range(1, ctrl.n_max + 1), iter_numbers(params)):
         term = term * np.clongdouble(iy) * np.clongdouble(abs(value) / n)
         total = total + term
         at = float(abs(term))
@@ -223,9 +217,7 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
     peak = np.full(y.shape, 1.0 / math.pi)
     streak = np.zeros(y.shape, dtype=int)
     iy = 1j * y
-    gen = iter_numbers(params)
-    for n in range(1, ctrl.n_max + 1):
-        value, _ = next(gen)
+    for n, (value, _) in zip(range(1, ctrl.n_max + 1), iter_numbers(params)):
         term *= iy * (abs(value) / n)
         total += term
         at = np.abs(term)
@@ -304,11 +296,9 @@ def _exp2_values(x: np.ndarray, params: DeformationParams,
     term = np.ones(x.shape, dtype=float)
     total = term.copy()
     streak = np.zeros(x.shape, dtype=int)
-    gen = iter_numbers(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_cap + 1):
-            value, resonant = next(gen)
-            if resonant or value == 0:
+        for n, (value, resonant) in zip(range(1, n_cap + 1), iter_numbers(params)):
+            if resonant:
                 raise RootOfUnityDegeneracyError(n)
             term *= x / abs(value)
             total += term
@@ -632,10 +622,7 @@ def identity_matrix_2d(weight: WeightFunction, params: DeformationParams,
     rs, ws = panel_nodes(0.0, r_max, r_panels, nodes)
     g = ws * rs * weight.evaluate(rs ** 2)
 
-    sigma = np.ones(dim, dtype=complex)
-    roots = np.sqrt(seq.numbers[1:dim].astype(complex))
-    for n in range(1, dim):
-        sigma[n] = sigma[n - 1] * roots[n - 1]
+    sigma = _running_products(np.sqrt(seq.numbers[1:dim]))
     A = rs[None, :] ** np.arange(dim)[:, None] / sigma[:, None]
 
     radial = (np.conj(A) * g[None, :]) @ A.T

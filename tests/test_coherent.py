@@ -177,3 +177,17 @@ def test_normalization_over_disk(frac, phase):
         assume(abs(z) ** 2 < 0.8 * radius)
         s = make_state(z, params)
         assert abs(np.sum(np.abs(s.coeffs) ** 2) - 1.0) <= max(1e-10, s.tail_bound)
+
+
+def test_single_coefficient_state():
+    # dim = 1 keeps only c_0 = exp2(|z|**2)**(-1/2); [n] is never needed
+    state = make_state(0.3, CLASSICAL, dim=1)
+    assert state.coeffs.tolist() == [complex(9.5599748183309996e-01)]
+
+
+def test_overlap_continues_the_shorter_state_exactly():
+    # continuing a truncated state reproduces the longer one bit for bit
+    short = make_state(0.4 + 0.1j, QUON, dim=5)
+    full = make_state(0.4 + 0.1j, QUON)
+    assert full.dim > short.dim
+    assert overlap(short, full) == overlap(full, full)

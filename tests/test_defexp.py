@@ -8,10 +8,12 @@ from hypothesis import assume, given, strategies as st
 from qpcoherent import (
     DeformationParams,
     InvalidParameterError,
+    ParameterMismatchError,
     RootOfUnityDegeneracyError,
     SeriesControl,
     Verdict,
     convergence_radius,
+    custom_basket_operators,
     exp1,
     exp2,
     qp_sequence,
@@ -173,3 +175,22 @@ def test_exp2_dominates_exp1(frac, phase):
     e2 = exp2(abs(x), params, TIGHT)
     assume(e1.verdict is Verdict.CONVERGED and e2.verdict is Verdict.CONVERGED)
     assert abs(e1.value) <= e2.value.real * (1 + 1e-12) + 1e-12
+
+
+def test_shared_sequence_must_carry_the_same_parameters():
+    # e**0.5 would come back as Converged if the classical sequence were used
+    classical_seq = qp_sequence(50, CLASSICAL)
+    with pytest.raises(ParameterMismatchError):
+        exp1(0.5, QUON, seq=classical_seq)
+    with pytest.raises(ParameterMismatchError):
+        exp2(0.5, QUON, seq=classical_seq)
+    basket_seq = custom_basket_operators(4, [0, 1, 2, 3, 4], q=1.0).basket
+    with pytest.raises(ParameterMismatchError):
+        exp1(0.5, CLASSICAL, seq=basket_seq)
+
+
+def test_shared_sequence_caps_the_terms():
+    seq = qp_sequence(5, QUON)
+    ev = exp1(0.9, QUON, seq=seq)
+    assert ev.verdict is Verdict.TRUNCATED and ev.terms_used == 5
+    assert ev.value == exp1(0.9, QUON, SeriesControl(n_max=5, min_terms=5)).value

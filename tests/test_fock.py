@@ -161,3 +161,20 @@ def test_operators_share_sequence_with_consumers():
     ops = build_operators(7, params)
     seq = qp_sequence(7, params)
     np.testing.assert_array_equal(ops.basket.numbers, seq.numbers)
+
+
+def test_running_products_match_scalar_loops_exactly():
+    params = DeformationParams(0.7 * cmath.exp(0.3j), 1.2 * cmath.exp(-2.2j))
+    ops = build_operators(30, params)
+    p_pow = [1 + 0j]
+    for _ in range(29):
+        p_pow.append(p_pow[-1] * params.p_inv)
+    assert np.diag(ops.p_pow_neg_N).tolist() == p_pow
+    basket = [0j, *[complex(n, -0.5 * n) for n in range(1, 9)]]
+    seq = custom_basket_operators(8, basket, q=1.0).basket
+    fact, abs_fact = [1 + 0j], [1.0]
+    for value in basket[1:]:
+        fact.append(fact[-1] * value)
+        abs_fact.append(abs_fact[-1] * abs(value))
+    assert seq.factorials.tolist() == fact
+    assert seq.abs_factorials.tolist() == abs_fact

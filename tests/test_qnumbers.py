@@ -1,5 +1,8 @@
 import cmath
+import itertools
 import math
+import random
+import struct
 import warnings
 
 import mpmath as mp
@@ -14,7 +17,14 @@ from qpcoherent import (
     qp_number_special,
     qp_sequence,
 )
-from qpcoherent.qnumbers import log_abs_numbers
+from qpcoherent import qnumbers
+from qpcoherent.qnumbers import (
+    DEGENERACY_THRESHOLD,
+    RESONANCE_RTOL,
+    _numbers,
+    iter_numbers,
+    log_abs_numbers,
+)
 
 from oracles import ref_number
 
@@ -211,3 +221,152 @@ def test_log_abs_numbers_exact_resonance_is_minus_inf():
     with mp.workdps(50):
         want = [float(mp.log(abs(ref_number(n, 1j, 1j)))) for n in range(1, 41, 2)]
     assert np.max(np.abs(got[0::2] - want)) <= 1e-13
+
+
+# ----------------------------------------------------------------------
+# the array builder against a scalar reference, bit for bit
+
+
+def _scalar_numbers(q, p, count):
+    """([n], resonant) for n = 1..count with running products, the built-in
+    complex ``/`` and ``abs``: the loop the array builder replaces."""
+    denom = q - 1.0 / p
+    rows = []
+    if abs(denom) < DEGENERACY_THRESHOLD:
+        qpow = 1.0 + 0.0j
+        for n in range(1, count + 1):
+            value = n * qpow
+            rows.append((value, value == 0))
+            qpow *= q
+        return rows
+    qn = pn = 1.0 + 0.0j
+    for _ in range(count):
+        qn *= q
+        pn *= 1.0 / p
+        num = qn - pn
+        value = num / denom
+        rows.append((value, abs(num) <= RESONANCE_RTOL * (abs(qn) + abs(pn))
+                     or value == 0))
+    return rows
+
+
+def _scalar_factorials(values):
+    fact, abs_fact = [1.0 + 0.0j], [1.0]
+    for value in values:
+        fact.append(fact[-1] * value)
+        abs_fact.append(abs_fact[-1] * abs(value))
+    return fact, abs_fact
+
+
+def _bits(values):
+    # byte image of the real and imaginary parts; tells -0.0 from 0.0
+    return [struct.pack("<dd", z.real, z.imag) for z in map(complex, values)]
+
+
+def _builder_points():
+    rng = random.Random(20260407)
+    root7 = cmath.exp(2j * math.pi / 7)
+    points = [
+        (1j, 1j), (root7, 1.0), (1.0, 1.0 / root7), (3.0, 1.0), (20.0, 1.0),
+        (0.0, 2.0), (0.0, 1e13), (1.0, 1.0), (-1.0, -1.0), (0.5, 2.0),
+        (-0.5, 1.0), (complex(-0.5, -0.0), -1.0), (complex(0.5, -0.0), 1.0),
+        (complex(-0.0, -0.3), 1.0),
+        (0.5j, -2j), (cmath.exp(0.9j), cmath.exp(-0.9j)),
+    ]
+    while len(points) < 2000:
+        q = rng.uniform(0.3, 2.5) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        kind = rng.randrange(4)
+        if kind == 0:      # degenerate set
+            p = 1.0 / q
+        elif kind == 1:    # q p on the unit circle
+            p = cmath.exp(1j * rng.uniform(-math.pi, math.pi)) / q
+        else:
+            p = rng.uniform(0.4, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        if rng.random() < 0.2:   # real pairs, with either sign of zero
+            q = complex(q.real, rng.choice((0.0, -0.0)))
+            p = complex(p.real, rng.choice((0.0, -0.0)))
+        points.append((q, p))
+    return points
+
+
+def test_builder_matches_scalar_loop_bit_for_bit():
+    kinds = {"degenerate": 0, "resonant": 0, "overflow": 0}
+    for q, p in _builder_points():
+        params = DeformationParams(q, p)
+        values, resonant = _numbers(params, 300)
+        ref = _scalar_numbers(params.q, params.p, 300)
+        assert _bits(values) == _bits(v for v, _ in ref), (q, p)
+        assert resonant.tolist() == [r for _, r in ref], (q, p)
+        kinds["degenerate"] += params.is_degenerate
+        kinds["resonant"] += bool(resonant.any())
+        kinds["overflow"] += not np.all(np.isfinite(values))
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_sequence_matches_scalar_loop_bit_for_bit():
+    for q, p in _builder_points()[:400]:
+        params = DeformationParams(q, p)
+        seq = qp_sequence(300, params)
+        ref = _scalar_numbers(params.q, params.p, 300)
+        numbers = [0j if r else v for v, r in ref]
+        fact, abs_fact = _scalar_factorials(numbers)
+        assert _bits(seq.numbers) == _bits([0j, *numbers]), (q, p)
+        assert _bits(seq.factorials) == _bits(fact), (q, p)
+        assert _bits(seq.abs_factorials) == _bits(abs_fact), (q, p)
+        bad = [n for n in range(301)
+               if not (cmath.isfinite(fact[n]) and math.isfinite(abs_fact[n]))]
+        assert seq.overflow_index == (bad[0] if bad else None)
+        flagged = [n for n, (_, r) in enumerate(ref, 1) if r]
+        assert seq.resonance_index == (flagged[0] if flagged else None)
+
+
+def test_number_and_iterator_are_views_of_the_builder():
+    params = DeformationParams(0.9 * cmath.exp(0.4j), 1.1 * cmath.exp(-1.3j))
+    values, resonant = _numbers(params, 300)
+    head = list(itertools.islice(iter_numbers(params), 300))
+    assert all(type(v) is complex and type(r) is bool for v, r in head)
+    assert _bits(v for v, _ in head) == _bits(values)
+    assert [r for _, r in head] == resonant.tolist()
+    assert _bits([qp_number(n, params) for n in (1, 64, 65, 300)]) == _bits(
+        values[[0, 63, 64, 299]])
+
+
+def test_iterator_builds_blocks_not_the_cap(monkeypatch):
+    counts = []
+
+    def recording(params, count):
+        counts.append(count)
+        return _numbers(params, count)
+
+    monkeypatch.setattr(qnumbers, "_numbers", recording)
+    head = list(itertools.islice(iter_numbers(QUON), 100))
+    assert len(head) == 100 and counts == [64, 128]
+
+
+def test_sequence_of_length_zero_on_the_degenerate_branch():
+    seq = qp_sequence(0, CLASSICAL)
+    assert seq.numbers.tolist() == [0j]
+    assert seq.factorials.tolist() == [1 + 0j]
+    assert seq.abs_factorials.tolist() == [1.0]
+    assert seq.overflow_index is None and seq.resonance_index is None
+
+
+def test_sequence_keeps_negative_zero_imaginary_parts():
+    # q = -0.5: p**(-n) - q**n has an imaginary part of -0.0 at odd n
+    seq = qp_sequence(3, DeformationParams(-0.5, 1.0))
+    assert [math.copysign(1.0, z.imag) for z in seq.numbers[1:]] == [-1.0, 1.0, -1.0]
+
+
+def test_log_abs_numbers_degenerate_zero_q():
+    # q = 0, |p| > 1e12 is on the degenerate set: [1] = 1 and [n] = 0 beyond
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_abs_numbers(DeformationParams(0, 1e13), 4)
+    assert got.tolist() == [0.0, -math.inf, -math.inf, -math.inf]
+
+
+def test_degeneracy_threshold_is_a_module_constant():
+    params = DeformationParams(0.5, 2.0)
+    assert repr(params) == "DeformationParams(q=(0.5+0j), p=(2+0j))"
+    with pytest.raises(TypeError):
+        DeformationParams(0.5, 1.0, 1e-3)
