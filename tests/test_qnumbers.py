@@ -228,8 +228,9 @@ def test_log_abs_numbers_exact_resonance_is_minus_inf():
 
 
 def _scalar_numbers(q, p, count):
-    """([n], resonant) for n = 1..count with running products, the built-in
-    complex ``/`` and ``abs``: the loop the array builder replaces."""
+    """([n], flagged) for n = 1..count with running products, the built-in
+    complex ``/`` and ``abs``: the loop the array builder replaces. The flag
+    is the consumers' old test, a cancellation or an exact zero."""
     denom = q - 1.0 / p
     rows = []
     if abs(denom) < DEGENERACY_THRESHOLD:
