@@ -120,6 +120,8 @@ def _continued_coeffs(head, length: int, z: complex,
     """
     out = np.zeros(length, dtype=complex)
     out[: len(head)] = head
+    if len(head) == length:
+        return out
     numbers, resonant = _numbers(params, length - 1)
     roots = np.sqrt(numbers)
     for n in range(len(head), length):

@@ -392,5 +392,4 @@ def regime_report_to_json(rows: Sequence[RegimeVerdict], file_or_path) -> None:
             "note": row.note,
         })
     with open_output(file_or_path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")

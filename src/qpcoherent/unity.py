@@ -45,7 +45,14 @@ from .errors import (
     RootOfUnityDegeneracyError,
     SeriesDivergenceError,
 )
-from .qnumbers import DeformationParams, _running_products, iter_numbers, qp_sequence
+from .qnumbers import (
+    DeformationParams,
+    _moduli,
+    _numbers,
+    _running_products,
+    iter_numbers,
+    qp_sequence,
+)
 
 CONDITION_LIMIT = 1e12
 
@@ -55,6 +62,10 @@ CONDITION_LIMIT = 1e12
 #: that bound is not used (|w| at or near 1), where the sum stops on two small
 #: terms in a row at every point
 _GRID_SERIES_CAP = 400_000
+
+#: size of one complex block of the Fourier route: an x-row chunk of the
+#: exp(-i x y) matrix, or a block of Wbar terms over all nodes
+_BLOCK_BYTES = 1 << 20
 
 
 class Basis(Enum):
@@ -105,8 +116,10 @@ class WeightFunction:
         if self.coeffs is not None and self.basis is not None:
             return _basis_values(self.basis, self.coeffs, self.support[1], x)
         if self._fourier_nodes is not None:
-            phase = np.exp(-1j * np.outer(self._fourier_nodes, x))
-            return (self._fourier_weights @ phase).real / (2.0 * math.pi)
+            out = np.empty(x.size)
+            for rows, phase in _phase_chunks(x.ravel(), self._fourier_nodes):
+                out[rows] = (phase @ self._fourier_weights).real
+            return out / (2.0 * math.pi)
         return np.interp(x, self.grid_x, self.grid_w)
 
 
@@ -204,38 +217,61 @@ def wbar_series(y: float, params: DeformationParams,
 
 def _wbar_values(y: np.ndarray, params: DeformationParams,
                  ctrl: SeriesControl) -> np.ndarray:
-    """Vectorized Wbar over an array of real ordinates.
+    """Vectorized Wbar over a 1-D array of real ordinates.
 
     The terms peak near exp(R |y|) while the sum stays O(1), so beyond
     moderate |y| the alternating sum has no correct digits in double
     precision; that cancellation is detected and reported rather than
     returning noise.
+
+    Terms come in blocks of rows, one per term and one column per ordinate,
+    at most ``_BLOCK_BYTES`` of complex values and twice as deep as the block
+    before. Sequential accumulations along the term axis form every product
+    and sum in the order of a term-by-term loop, and the stop and error tests
+    run per row, so the result does not depend on the block depth. The sum
+    stops at the first term n >= min_terms where every ordinate has seen two
+    terms in a row below ``tol * max(|total|, 1)``.
     """
     y = np.asarray(y, dtype=float)
+    iy = 1j * y
     term = np.full(y.shape, 1.0 / math.pi, dtype=complex)
     total = term.copy()
     peak = np.full(y.shape, 1.0 / math.pi)
-    streak = np.zeros(y.shape, dtype=int)
-    iy = 1j * y
-    for n, (value, _) in zip(range(1, ctrl.n_max + 1), iter_numbers(params)):
-        term *= iy * (abs(value) / n)
-        total += term
-        at = np.abs(term)
-        peak = np.maximum(peak, at)
-        if np.max(at) > 1e140:
-            raise SeriesDivergenceError(
-                "Wbar series diverges for these parameters; no inverse transform"
-            )
-        small = at <= ctrl.tol * np.maximum(np.abs(total), 1.0)
-        streak = np.where(small, streak + 1, 0)
-        if n >= ctrl.min_terms and np.all(streak >= 2):
-            noise = np.max(2.3e-16 * peak / np.maximum(np.abs(total), 1e-300))
-            if noise > 1e-2:
-                raise SeriesDivergenceError(
-                    f"Wbar cancellation noise {noise:.2e} at |y| up to "
-                    f"{float(np.max(np.abs(y))):.3g}; reduce y_cut"
-                )
-            return total
+    small = np.zeros(y.shape, dtype=bool)
+    factors = np.empty(0)   # |[n]|/n for n = 1, 2, ...
+    n, depth = 0, 16
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < ctrl.n_max:
+            rows = min(depth, ctrl.n_max - n,
+                       max(1, _BLOCK_BYTES // (16 * max(y.size, 1))))
+            if n + rows > len(factors):
+                count = min(ctrl.n_max, max(n + rows, 2 * len(factors), 64))
+                factors = _moduli(_numbers(params, count)[0]) / np.arange(1, count + 1)
+            steps = iy * factors[n:n + rows, None]
+            terms = np.multiply.accumulate(np.concatenate([term[None], steps]))[1:]
+            totals = np.add.accumulate(np.concatenate([total[None], terms]))[1:]
+            at = np.abs(terms)
+            peaks = np.maximum.accumulate(np.concatenate([peak[None], at]))[1:]
+            smalls = at <= ctrl.tol * np.maximum(np.abs(totals), 1.0)
+            stop = np.all(smalls & np.concatenate([small[None], smalls[:-1]]), axis=1)
+            stop[:max(ctrl.min_terms - n - 1, 0)] = False
+            diverged = np.max(at, axis=1) > 1e140
+            hit = np.flatnonzero(stop | diverged)
+            if hit.size:
+                r = int(hit[0])
+                if diverged[r]:
+                    raise SeriesDivergenceError(
+                        "Wbar series diverges for these parameters; no inverse transform"
+                    )
+                noise = np.max(2.3e-16 * peaks[r] / np.maximum(np.abs(totals[r]), 1e-300))
+                if noise > 1e-2:
+                    raise SeriesDivergenceError(
+                        f"Wbar cancellation noise {noise:.2e} at |y| up to "
+                        f"{float(np.max(np.abs(y))):.3g}; reduce y_cut"
+                    )
+                return totals[r].copy()
+            term, total, peak, small = terms[-1], totals[-1], peaks[-1], smalls[-1]
+            n, depth = n + rows, 2 * depth
     raise SeriesDivergenceError(
         f"Wbar series not converged within {ctrl.n_max} terms"
     )
@@ -434,6 +470,37 @@ def weight_from_moments(moments: MomentSet, degree: int, *,
 # regularized Fourier inversion
 
 
+def _phase_chunks(x: np.ndarray, ys: np.ndarray):
+    """Yield (rows, exp(-i x[rows] y)) over x-row chunks of bounded size.
+
+    A chunk holds about ``_BLOCK_BYTES`` of complex values, filled from
+    cos and sin of the phases (bit for bit what np.exp(-1j * phase) gives).
+    Every chunk but the last has a multiple of 4 rows, and the last holds the
+    len(x) % 4 leftover rows plus at least 4 more (one chunk below 8 rows):
+    BLAS matrix-vector kernels work on groups of 4 rows, so ``chunk @ v``
+    equals the rows of the whole product bit for bit under that split.
+    """
+    step = max(4, _BLOCK_BYTES // (16 * max(len(ys), 1)) // 4 * 4)
+    edges = [*range(0, max(len(x) - len(x) % 4 - 4, 1), step), len(x)]
+    for a, b in zip(edges, edges[1:]):
+        theta = np.outer(x[a:b], ys)
+        phase = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+        np.negative(phase.imag, out=phase.imag)
+        yield slice(a, b), phase
+
+
+def _transform(x: np.ndarray, ys: np.ndarray, vals: np.ndarray,
+               ws: np.ndarray) -> np.ndarray:
+    """(exp(-i x y) * vals) @ ws, one bounded x-row chunk at a time."""
+    F = np.empty(len(x), dtype=complex)
+    for rows, phase in _phase_chunks(x, ys):
+        phase *= vals
+        F[rows] = phase @ ws
+    return F
+
+
 def weight_from_fourier(
     params: DeformationParams,
     y_cut: float,
@@ -454,7 +521,9 @@ def weight_from_fourier(
     since the series is just its Taylor expansion at 0. The imaginary part of
     the result and the window decay |Wbar(+-Y)| exp(-eps Y^2) are reported as
     diagnostics; a warning is issued when the window does not decay below
-    ``decay_tol``.
+    ``decay_tol``. Each panel-doubling sweep reduces bounded x-row chunks of
+    exp(-iyx) straight into the result, so memory does not grow with the
+    panel count; the converged sweep's Wbar values give the stored weights.
     """
     if y_cut <= 0 or damping <= 0:
         raise InvalidParameterError("y_cut and damping must be positive")
@@ -473,9 +542,11 @@ def weight_from_fourier(
         series_ctrl = ctrl or SeriesControl(n_max=4000, tol=1e-12, min_terms=10)
         wbar_fn = lambda y: _wbar_values(y, params, series_ctrl)
 
-    def integrand(ys: np.ndarray) -> np.ndarray:
-        vals = wbar_fn(ys) * np.exp(-damping * ys ** 2)
-        return np.exp(-1j * np.outer(x_grid, ys)) * vals[None, :]
+    sweep = {}   # nodes, weights and Wbar values of the latest sweep
+
+    def integrand(ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        sweep.update(ys=ys, ws=ws, wbar=wbar_fn(ys))
+        return _transform(x_grid, ys, sweep["wbar"] * np.exp(-damping * ys ** 2), ws)
 
     F, panels = adaptive_gl(integrand, -y_cut, y_cut, nodes=nodes,
                             rtol=rtol, max_doublings=max_doublings)
@@ -489,8 +560,8 @@ def weight_from_fourier(
             f"integrand at the window edge is {window_decay:.3e} > {decay_tol:g}; "
             "increase y_cut or damping", stacklevel=2)
 
-    ys, ws = panel_nodes(-y_cut, y_cut, panels, nodes)
-    fw = ws * wbar_fn(ys) * np.exp(-damping * ys ** 2)
+    ys = sweep["ys"]
+    fw = sweep["ws"] * sweep["wbar"] * np.exp(-damping * ys ** 2)
     wtilde = F.real
     for arr in (x_grid, wtilde, ys, fw):
         arr.flags.writeable = False
@@ -581,9 +652,9 @@ def moment_ratios(weight: WeightFunction, params: DeformationParams, dim: int,
     powers = np.arange(dim)
     scale = math.pi / seq.abs_factorials[:dim]
 
-    def f(xs: np.ndarray) -> np.ndarray:
+    def f(xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
         return (scale[:, None] * xs[None, :] ** powers[:, None]
-                * weight.evaluate(xs)[None, :])
+                * weight.evaluate(xs)[None, :]) @ ws
 
     try:
         return adaptive_gl(f, 0.0, upper, nodes=quad.nodes, rtol=quad.rtol,
@@ -674,5 +745,4 @@ def weight_to_json(weight: WeightFunction, file_or_path) -> None:
         },
     }
     with open_output(file_or_path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")

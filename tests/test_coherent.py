@@ -87,6 +87,25 @@ def test_overlap_vacuum_pair_exact():
     assert overlap(s1, s2) == 1.0
 
 
+def test_overlap_builds_numbers_only_to_continue_the_shorter_state(monkeypatch):
+    import qpcoherent.coherent as coherent
+    short, long_ = make_state(0.2, QUON), make_state(0.9, QUON)
+    assert short.dim < long_.dim
+    same = make_state(0.5, QUON, dim=long_.dim)
+    calls = []
+
+    def counting(params, count):
+        calls.append(count)
+        return numbers(params, count)
+
+    numbers = coherent._numbers
+    monkeypatch.setattr(coherent, "_numbers", counting)
+    overlap(same, long_)
+    assert calls == []
+    overlap(short, long_)
+    assert calls == [long_.dim - 1]
+
+
 def test_overlap_requires_matching_parameters():
     with pytest.raises(ParameterMismatchError):
         overlap(make_state(0.2, QUON), make_state(0.2, CLASSICAL))

@@ -61,6 +61,15 @@ COMMANDS = [
     ["weight", "--q", "0.5", "--p", "1", "--method", "fourier", "--ycut", "12",
      "--damping", "2e-2", "--format", "json"],
     ["weight", "--q", "1", "--p", "1", "--method", "fourier", "--format", "json"],
+    # Fourier transform chunk edges: grids of G = 7 (one chunk), G mod 4 = 2,
+    # 0 and 3, a quon that needs 8 panels, and a CSV with its wtilde_imag column
+    *(["weight", "--q", "0.5", "--p", "1", "--method", "fourier", "--ycut", "12",
+       "--damping", "2e-2", "--grid-points", g, "--format", "json"]
+      for g in ("7", "514", "516", "1027")),
+    ["weight", "--q", "0.5", "--p", "1", "--method", "fourier", "--ycut", "15",
+     "--damping", "2e-3", "--format", "json"],
+    ["weight", "--q", "0.3", "--p", "1", "--method", "fourier", "--ycut", "16",
+     "--damping", "1e-2", "--grid-points", "1025"],
     ["regimes", "--prop", "1"],
     ["regimes", "--prop", "1", "--format", "json"],
     ["regimes", "--prop", "2"],
