@@ -349,6 +349,7 @@ def _cmd_regimes(args, config) -> int:
 # parser
 
 
+@functools.cache   # parse_args does not change the parser
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qpcoherent",

@@ -22,7 +22,7 @@ from .errors import (
     ParameterMismatchError,
     RootOfUnityDegeneracyError,
 )
-from .qnumbers import DeformationParams, QNumberSequence, iter_numbers
+from .qnumbers import DeformationParams, QNumberSequence, _moduli, _numbers
 
 
 class Verdict(Enum):
@@ -100,31 +100,43 @@ def _sum_series(
         return SeriesEvaluation(_NAN, 0, math.inf, Verdict.DIVERGENT_INPUT)
 
     r_geom = ax / radius if 0 < radius < math.inf else 0.0
-    # extended precision keeps cancellation error below the 1e-12 tail targets
-    total = np.clongdouble(1.0)
-    term = np.clongdouble(1.0)
-    prev_abs = 1.0
+    # Blocks of terms, each twice as deep as the one before. Sequential
+    # accumulations form every product and sum in the order of a term-by-term
+    # loop, in extended precision (it keeps cancellation error below the 1e-12
+    # tail targets), and the stop rule runs per row; row 0 holds the term
+    # before the block. Stops land a term or two past ln(tol)/ln(r_geom), and
+    # a second block costs as much as 200 more rows.
+    rows = 16
+    if r_geom > 0.0 and ctrl.tol < 1.0:
+        rows = max(rows, math.ceil(math.log(ctrl.tol) / math.log(r_geom)) + 8)
     xl = np.clongdouble(x)
-
-    n = 0
-    tail = math.inf
-    for n, (value, resonant) in zip(range(1, n_max + 1), iter_numbers(params)):
-        if resonant:
-            raise RootOfUnityDegeneracyError(n)
-        term = term * (xl / np.clongdouble(abs(value) if use_abs else value))
-        total = total + term
-        at = float(abs(term))
-        if n >= ctrl.min_terms and at <= prev_abs:
-            if r_geom > 0.0:
-                r = r_geom
-            else:
-                r = at / prev_abs if prev_abs > 0 else 0.0
-            if r < 1.0:
-                tail = at * r / (1.0 - r)
-                budget = ctrl.tol * max(float(abs(total)), 1.0)
-                if at <= budget and tail <= budget:
-                    return SeriesEvaluation(complex(total), n, tail, Verdict.CONVERGED)
-        prev_abs = at
+    total = term = np.clongdouble(1.0)
+    tail, n = math.inf, 0
+    with np.errstate(all="ignore"):
+        while n < n_max:
+            values, resonant = (a[n:] for a in _numbers(params, min(n + rows, n_max)))
+            count = int(resonant.argmax()) if resonant.any() else len(values)
+            divisors = (_moduli(values) if use_abs else values)[:count]
+            terms = np.multiply.accumulate(np.concatenate([[term], xl / divisors]))
+            totals = np.add.accumulate(np.concatenate([[total], terms[1:]]))[1:]
+            at = np.abs(terms).astype(float)
+            prev, at = at[:-1], at[1:]
+            r = r_geom if r_geom > 0.0 else np.where(prev > 0, at / prev, 0.0)
+            tails = at * r / (1.0 - r)
+            ratio_test = (at <= prev) & (r < 1.0)
+            ratio_test[:max(ctrl.min_terms - n - 1, 0)] = False
+            budget = ctrl.tol * np.maximum(np.abs(totals).astype(float), 1.0)
+            stop = ratio_test & (np.maximum(at, tails) <= budget)
+            if stop.any():
+                i = int(stop.argmax())
+                return SeriesEvaluation(complex(totals[i]), n + i + 1,
+                                        float(tails[i]), Verdict.CONVERGED)
+            if ratio_test.any():
+                tail = float(tails[count - 1 - int(ratio_test[::-1].argmax())])
+            if count < len(values):
+                raise RootOfUnityDegeneracyError(n + count + 1)
+            term, total = terms[-1], totals[-1]
+            n, rows = n + count, 2 * rows
     return SeriesEvaluation(complex(total), n, tail, Verdict.TRUNCATED)
 
 

@@ -12,6 +12,8 @@ exponentials and the weight-function moments.
 
 from __future__ import annotations
 
+import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -25,6 +27,9 @@ DEGENERACY_THRESHOLD = 1e-12
 #: Relative cancellation level at which q**n - p**(-n) counts as an exact zero
 #: (q*p at a root of unity). The direct formula has no correct digits there.
 RESONANCE_RTOL = 1e-12
+
+#: terms the per-process [n] store keeps over all (q, p), 57 bytes each
+_STORE_TERMS = 8192
 
 
 @dataclass(frozen=True)
@@ -87,8 +92,8 @@ def _moduli(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _numbers(params: DeformationParams, count: int
-             ) -> tuple[np.ndarray, np.ndarray]:
+def _build(params: DeformationParams, count: int
+           ) -> tuple[np.ndarray, np.ndarray]:
     """[n] and its resonance flag for n = 1..count, as arrays.
 
     A flagged [n] is an exact zero or, off the degenerate set, a numerator
@@ -127,6 +132,56 @@ def _numbers(params: DeformationParams, count: int
         return out, cancelled | (out == 0)
 
 
+def _full_sequence(params: DeformationParams, count: int
+                   ) -> tuple[np.ndarray, np.ndarray, QNumberSequence]:
+    """``_build``'s arrays and the sequence of n_max = count, all read-only."""
+    values, resonant = _build(params, count)
+    numbers = np.concatenate([np.zeros(1, complex), np.where(resonant, 0, values)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        factorials = _running_products(numbers[1:])
+        abs_factorials = _running_products(_moduli(numbers[1:]))
+    overflow = ~(np.isfinite(factorials) & np.isfinite(abs_factorials))
+    for arr in (values, resonant, numbers, factorials, abs_factorials):
+        arr.flags.writeable = False
+    return values, resonant, QNumberSequence(
+        params, count, numbers, factorials, abs_factorials,
+        int(np.argmax(overflow)) if overflow.any() else None,
+        int(np.argmax(resonant)) + 1 if resonant.any() else None)
+
+
+#: bit pattern of (q, p) -> ``_full_sequence``, least recently used first; not
+#: ``DeformationParams`` equality, as the sign of a zero part shows in [n].
+_store: OrderedDict[bytes, tuple] = OrderedDict()
+
+
+def _stored(params: DeformationParams, count: int):
+    """``_full_sequence`` of at least ``count`` terms, of which callers take
+    prefixes: entry n of every array depends only on entries up to n. An entry
+    grows by doubling from 64 terms; the least recently used (q, p) go to keep
+    _STORE_TERMS terms in all, and a longer request is built and not kept."""
+    if count > _STORE_TERMS:
+        return _full_sequence(params, count)
+    q, p = params.q, params.p
+    key = struct.pack("<4d", q.real, q.imag, p.real, p.imag)
+    entry = _store.pop(key, None)
+    if entry is None or entry[2].n_max < count:
+        grown = 2 * entry[2].n_max if entry is not None else 64
+        entry = _full_sequence(params, min(max(count, grown), _STORE_TERMS))
+        while sum(e[2].n_max for e in _store.values()) + entry[2].n_max > _STORE_TERMS:
+            _store.popitem(last=False)
+    _store[key] = entry
+    return entry
+
+
+def _numbers(params: DeformationParams, count: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """``_build(params, count)``, as read-only prefixes of the stored arrays."""
+    if count > _STORE_TERMS:
+        return _build(params, count)
+    values, resonant, _ = _stored(params, count)
+    return values[:count], resonant[:count]
+
+
 def qp_number(n: int, params: DeformationParams) -> complex:
     """The n-th deformed number [n]; exact 0 at n = 0."""
     if n < 0:
@@ -151,8 +206,8 @@ def qp_number_special(n: int, Q: complex) -> complex:
 def iter_numbers(params: DeformationParams) -> Iterator[tuple[complex, bool]]:
     """Yield ([n], resonant) for n = 1, 2, ... as Python scalars.
 
-    A view over ``_numbers``: the arrays are rebuilt in blocks of 64, 128, ...
-    terms, so a consumer that stops early never builds up to its cap.
+    A view over ``_numbers`` in blocks of 64, 128, ... terms, so a consumer
+    that stops early never asks for its cap.
     """
     start, count = 0, 64
     while True:
@@ -165,23 +220,12 @@ def qp_sequence(n_max: int, params: DeformationParams) -> QNumberSequence:
     """Fill numbers, factorials and modulus-factorials up to n_max."""
     if n_max < 0:
         raise InvalidParameterError("n_max must be a nonnegative integer")
-    values, resonant = _numbers(params, n_max)
-    numbers = np.concatenate([np.zeros(1, complex), np.where(resonant, 0, values)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        factorials = _running_products(numbers[1:])
-        abs_factorials = _running_products(_moduli(numbers[1:]))
-    overflow = ~(np.isfinite(factorials) & np.isfinite(abs_factorials))
-    for arr in (numbers, factorials, abs_factorials):
-        arr.flags.writeable = False
+    full, cut = _stored(params, n_max)[2], n_max + 1
     return QNumberSequence(
-        params=params,
-        n_max=n_max,
-        numbers=numbers,
-        factorials=factorials,
-        abs_factorials=abs_factorials,
-        overflow_index=int(np.argmax(overflow)) if overflow.any() else None,
-        resonance_index=int(np.argmax(resonant)) + 1 if resonant.any() else None,
-    )
+        params, n_max, full.numbers[:cut], full.factorials[:cut],
+        full.abs_factorials[:cut],
+        *(i if i is not None and i < cut else None
+          for i in (full.overflow_index, full.resonance_index)))
 
 
 def _unit_powers(params: DeformationParams, count: int

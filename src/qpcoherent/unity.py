@@ -238,16 +238,13 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
     total = term.copy()
     peak = np.full(y.shape, 1.0 / math.pi)
     small = np.zeros(y.shape, dtype=bool)
-    factors = np.empty(0)   # |[n]|/n for n = 1, 2, ...
     n, depth = 0, 16
     with np.errstate(over="ignore", invalid="ignore"):
         while n < ctrl.n_max:
             rows = min(depth, ctrl.n_max - n,
                        max(1, _BLOCK_BYTES // (16 * max(y.size, 1))))
-            if n + rows > len(factors):
-                count = min(ctrl.n_max, max(n + rows, 2 * len(factors), 64))
-                factors = _moduli(_numbers(params, count)[0]) / np.arange(1, count + 1)
-            steps = iy * factors[n:n + rows, None]
+            moduli = _moduli(_numbers(params, n + rows)[0][n:])
+            steps = iy * (moduli / np.arange(n + 1, n + rows + 1))[:, None]
             terms = np.multiply.accumulate(np.concatenate([term[None], steps]))[1:]
             totals = np.add.accumulate(np.concatenate([total[None], terms]))[1:]
             at = np.abs(terms)
@@ -717,12 +714,12 @@ def weight_to_csv(weight: WeightFunction, params: DeformationParams,
         if imag is not None:
             header += ",wtilde_imag"
         fh.write(header + "\n")
-        for i, x in enumerate(weight.grid_x):
-            row = [format_float(x), format_float(weight.grid_w[i]),
-                   format_float(phys.grid_w[i])]
-            if imag is not None:
-                row.append(format_float(imag[i]))
-            fh.write(",".join(row) + "\n")
+        columns = [weight.grid_x, weight.grid_w, phys.grid_w]
+        if imag is not None:
+            columns.append(imag)
+        # Python floats format as numpy's do, and faster
+        for row in zip(*(c.tolist() for c in columns)):
+            fh.write(",".join(map(format_float, row)) + "\n")
 
 
 def weight_to_json(weight: WeightFunction, file_or_path) -> None:
@@ -740,8 +737,8 @@ def weight_to_json(weight: WeightFunction, file_or_path) -> None:
             if not isinstance(v, np.ndarray)
         },
         "grid": {
-            "x": [format_float(v) for v in weight.grid_x],
-            "wtilde": [format_float(v) for v in weight.grid_w],
+            "x": list(map(format_float, weight.grid_x.tolist())),
+            "wtilde": list(map(format_float, weight.grid_w.tolist())),
         },
     }
     with open_output(file_or_path) as fh:

@@ -1,11 +1,14 @@
+import cmath
 import csv
 import io
 import json
 import math
 import warnings
+from collections import OrderedDict
 
 import pytest
 
+from qpcoherent import qnumbers
 from qpcoherent.cli import main
 
 
@@ -253,3 +256,24 @@ def test_out_file_matches_stdout(args, tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path / "o")]) == code
     assert capsys.readouterr().out == ""
     assert (tmp_path / "o").read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("q, p", [
+    (0.5, 1.0),                                      # regime I, real
+    (cmath.rect(0.6, 0.5), cmath.rect(1.0, -1.1)),   # regime I
+    (cmath.rect(1.0, 0.3), cmath.rect(1.8, 0.4)),    # regime II
+])
+def test_verify_builds_its_sequence_at_most_twice(q, p, monkeypatch, capsys):
+    monkeypatch.setattr(qnumbers, "_store", OrderedDict())
+    builds = []
+    build = qnumbers._build
+
+    def counting(params, count):
+        builds.append((params.q, params.p))
+        return build(params, count)
+
+    monkeypatch.setattr(qnumbers, "_build", counting)
+    assert main(["verify", "--q", repr(complex(q)), "--p", repr(complex(p)),
+                 "--dim", "20"]) == 0
+    assert "false" not in capsys.readouterr().out
+    assert 1 <= builds.count((q, p)) <= 2, builds

@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +20,10 @@ from qpcoherent import (
     exp2,
     qp_sequence,
 )
+from qpcoherent import defexp
+from qpcoherent.defexp import SeriesEvaluation
+from qpcoherent.errors import QpcError
+from qpcoherent.qnumbers import _build
 
 from oracles import ref_exp1, ref_exp2
 
@@ -194,3 +200,117 @@ def test_shared_sequence_caps_the_terms():
     ev = exp1(0.9, QUON, seq=seq)
     assert ev.verdict is Verdict.TRUNCATED and ev.terms_used == 5
     assert ev.value == exp1(0.9, QUON, SeriesControl(n_max=5, min_terms=5)).value
+
+
+# ----------------------------------------------------------------------
+# the block series kernel against the term-by-term loop it replaces
+
+
+def series_loop(x, params, ctrl, use_abs, seq):
+    """The scalar ``_sum_series`` loop, reading [n] from a fresh build."""
+    n_max = ctrl.n_max
+    if seq is not None:
+        if seq.params is None or (seq.params.q, seq.params.p) != (params.q, params.p):
+            raise ParameterMismatchError("sequence was built from different parameters")
+        n_max = min(n_max, seq.n_max)
+    radius = convergence_radius(params)
+    ax = abs(x)
+    if ax >= radius and ax > 0:
+        return SeriesEvaluation(complex(math.nan, math.nan), 0, math.inf,
+                                Verdict.DIVERGENT_INPUT)
+    r_geom = ax / radius if 0 < radius < math.inf else 0.0
+    total = np.clongdouble(1.0)
+    term = np.clongdouble(1.0)
+    prev_abs = 1.0
+    xl = np.clongdouble(x)
+    values, flags = _build(params, max(n_max, 1))
+    n = 0
+    tail = math.inf
+    for n, value, resonant in zip(range(1, n_max + 1), values.tolist(), flags.tolist()):
+        if resonant:
+            raise RootOfUnityDegeneracyError(n)
+        term = term * (xl / np.clongdouble(abs(value) if use_abs else value))
+        total = total + term
+        at = float(abs(term))
+        if n >= ctrl.min_terms and at <= prev_abs:
+            if r_geom > 0.0:
+                r = r_geom
+            else:
+                r = at / prev_abs if prev_abs > 0 else 0.0
+            if r < 1.0:
+                tail = at * r / (1.0 - r)
+                budget = ctrl.tol * max(float(abs(total)), 1.0)
+                if at <= budget and tail <= budget:
+                    return SeriesEvaluation(complex(total), n, tail, Verdict.CONVERGED)
+        prev_abs = at
+    return SeriesEvaluation(complex(total), n, tail, Verdict.TRUNCATED)
+
+
+def series_outcome(fn, *args):
+    try:
+        ev = fn(*args)
+    except QpcError as exc:
+        return type(exc).__name__, str(exc)
+    return (struct.pack("<dd", ev.value.real, ev.value.imag), ev.terms_used,
+            struct.pack("<d", ev.tail_bound), ev.verdict)
+
+
+def series_cases(count, seed=20261019):
+    rng = random.Random(seed)
+    root7 = cmath.exp(2j * math.pi / 7)
+    fixed = [(1.0, 1.0), (root7, 1.0), (1.0, 1.0 / root7), (0.5, 2.0), (2.0, 0.5),
+             (1j, -1j), (0.5, 1.0), (0.99, 1.0), (cmath.exp(0.8j), 1.7)]
+    for i in range(count):
+        if i < 4 * len(fixed):
+            q, p = fixed[i % len(fixed)]
+        else:
+            kind = rng.randrange(5)
+            q = rng.uniform(0.2, 2.5) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            if kind == 0:      # degenerate set: R = inf or 0
+                p = 1.0 / q
+            elif kind == 1:    # regime I
+                q, p = 0.95 * q / abs(q) * rng.random(), cmath.exp(1j * rng.uniform(-3, 3))
+            elif kind == 2:    # regime II
+                q, p = q / abs(q), rng.uniform(1.05, 2.5) * cmath.exp(1j * rng.uniform(-3, 3))
+            else:
+                p = rng.uniform(0.4, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                if kind == 4:  # q p = e^{2 pi i/7}: [7] vanishes
+                    q = root7 / p
+        params = DeformationParams(q, p)
+        R = convergence_radius(params)
+        span = R if math.isfinite(R) else rng.uniform(0.5, 8.0)
+        where = rng.random()
+        if where < 0.05:
+            scale = 1.0                     # on the disk
+        elif where < 0.12:
+            scale = rng.uniform(1.0, 1.5)   # beyond it
+        else:
+            scale = rng.uniform(0.0, 0.999)
+        phase = rng.choice((0.0, math.pi, rng.uniform(-math.pi, math.pi)))
+        x = complex(scale * span) if phase == 0.0 else scale * span * cmath.exp(1j * phase)
+        n_max = rng.choice((12, rng.randint(12, 200), rng.randint(12, 2000)))
+        tol = 10 ** rng.uniform(-15, -4) if rng.random() < 0.97 else rng.choice(
+            (1.0, 3.0, math.inf))
+        ctrl = SeriesControl(n_max=n_max, tol=tol, min_terms=rng.randint(1, 10))
+        seq = None
+        pick = rng.random()
+        if pick < 0.1:
+            seq = qp_sequence(rng.randint(0, n_max + 5), params)
+        elif pick < 0.13:
+            seq = qp_sequence(20, DeformationParams(q * 1.01, p))
+        elif pick < 0.15:
+            seq = custom_basket_operators(4, [0, 1, 2, 3, 4], q=1.0).basket
+        yield x, params, ctrl, rng.random() < 0.5, seq
+
+
+def test_series_kernel_matches_the_scalar_loop_bit_for_bit():
+    seen = set()
+    for x, params, ctrl, use_abs, seq in series_cases(2400):
+        args = (complex(x), params, ctrl, use_abs, seq)
+        with np.errstate(all="ignore"):
+            want = series_outcome(series_loop, *args)
+        got = series_outcome(defexp._sum_series, *args)
+        assert got == want, args
+        seen.add(want[-1] if len(want) == 4 else want[0])
+    assert seen == {*Verdict, "RootOfUnityDegeneracyError",
+                    "ParameterMismatchError"}, seen

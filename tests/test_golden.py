@@ -12,16 +12,21 @@ down), run from the repository root:
     PYTHONPATH=src python tests/test_golden.py --record
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from qpcoherent.cli import main
 
 DATA = Path(__file__).with_name("golden_cli.json")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -103,6 +108,23 @@ def test_cli_output_matches_golden(argv):
         pytest.skip(f"golden output recorded with {recorded}, running {_versions()}")
     entry = next(e for e in golden["commands"] if e["argv"] == argv)
     assert _run(argv) == entry
+
+
+def test_cli_output_matches_golden_in_one_process():
+    # forward, then reversed: no parser or [n] store state may leak between
+    # calls of cli.main in one interpreter
+    golden = _load()
+    recorded = {k: golden[k] for k in ("python", "numpy")}
+    if recorded != _versions():
+        pytest.skip(f"golden output recorded with {recorded}, running {_versions()}")
+    for entry in golden["commands"] + golden["commands"][::-1]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(entry["argv"])
+        got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert (got, code) == (entry["sha256"], entry["exit"]), entry["argv"]
 
 
 def test_golden_file_lists_every_command():

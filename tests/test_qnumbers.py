@@ -1,8 +1,10 @@
 import cmath
+import collections
 import itertools
 import math
 import random
 import struct
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -371,3 +373,98 @@ def test_degeneracy_threshold_is_a_module_constant():
     assert repr(params) == "DeformationParams(q=(0.5+0j), p=(2+0j))"
     with pytest.raises(TypeError):
         DeformationParams(0.5, 1.0, 1e-3)
+
+
+# ----------------------------------------------------------------------
+# the per-process sequence store
+
+
+def _fresh_store(monkeypatch):
+    store = collections.OrderedDict()
+    monkeypatch.setattr(qnumbers, "_store", store)
+    return store
+
+
+def _counting_builds(monkeypatch):
+    counts = []
+    build = qnumbers._build
+
+    def counting(params, count):
+        counts.append(count)
+        return build(params, count)
+
+    monkeypatch.setattr(qnumbers, "_build", counting)
+    return counts
+
+
+def _arrays(seq):
+    return [seq.numbers, seq.factorials, seq.abs_factorials]
+
+
+def test_store_grows_to_the_bytes_of_a_fresh_build(monkeypatch):
+    _fresh_store(monkeypatch)
+    params = DeformationParams(0.9 * cmath.exp(0.4j), 1.1 * cmath.exp(-1.3j))
+    fresh = {n: qnumbers._full_sequence(params, n) for n in (300, 1000)}
+    counts = _counting_builds(monkeypatch)
+    for n in (300, 1000, 700):
+        values, resonant = _numbers(params, n)
+        assert values.tobytes() == fresh[1000][0][:n].tobytes()
+        assert resonant.tobytes() == fresh[1000][1][:n].tobytes()
+        seq = qp_sequence(n, params)
+        assert seq.n_max == n
+        assert [a.tobytes() for a in _arrays(seq)] == [
+            a[:n + 1].tobytes() for a in _arrays(fresh[1000][2])]
+    assert [a.tobytes() for a in _arrays(qp_sequence(300, params))] == [
+        a.tobytes() for a in _arrays(fresh[300][2])]
+    assert counts == [300, 1000]   # grown once, then read
+
+
+def test_store_reports_indices_only_below_the_cap(monkeypatch):
+    _fresh_store(monkeypatch)
+    params = DeformationParams(3.0, 1.0)   # |[n]|! overflows at n = 37
+    assert qp_sequence(200, params).overflow_index == 37
+    assert qp_sequence(36, params).overflow_index is None
+    resonant = DeformationParams(cmath.exp(2j * math.pi / 7), 1.0)
+    assert qp_sequence(100, resonant).resonance_index == 7
+    assert qp_sequence(6, resonant).resonance_index is None
+    assert qp_sequence(7, resonant).resonance_index == 7
+
+
+def test_store_keys_tell_signed_zero_parts_apart(monkeypatch):
+    store = _fresh_store(monkeypatch)
+    plus, minus = (DeformationParams(complex(-0.5, zero), 1.0) for zero in (0.0, -0.0))
+    assert plus == minus
+    got = [qp_sequence(40, params) for params in (plus, minus)]
+    assert len(store) == 2
+    for params, seq in zip((plus, minus), got):
+        assert _bits(seq.numbers) == _bits(qnumbers._full_sequence(params, 40)[2].numbers)
+    assert _bits(got[0].numbers) != _bits(got[1].numbers)
+
+
+def test_stored_arrays_are_read_only(monkeypatch):
+    _fresh_store(monkeypatch)
+    arrays = [*_numbers(QUON, 50), *_arrays(qp_sequence(50, QUON))]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_store_memory_stays_bounded(monkeypatch):
+    store = _fresh_store(monkeypatch)
+    # 57 bytes a term and object headers, against 23 MB for 400 000 terms
+    bound = qnumbers._STORE_TERMS * 100
+    params = DeformationParams(0.7 * cmath.exp(0.3j), cmath.exp(-0.9j))
+    qp_sequence(10, params)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(_numbers(params, 400_000)[0]) == 400_000
+        assert len(qp_sequence(400_000, params).numbers) == 400_001
+        for k in range(400):   # more (q, p) than the store keeps
+            qp_sequence(100 + k % 50, DeformationParams(0.5 + k * 1e-3, 1.0))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < bound, retained
+    assert sum(entry[2].n_max for entry in store.values()) <= qnumbers._STORE_TERMS

@@ -431,3 +431,25 @@ def test_json_export_schema():
     assert payload["support"] == [0.0, 2.0]
     assert len(payload["coefficients"]) == 13
     assert "condition_estimate" in payload["diagnostics"]
+
+
+def test_grids_format_from_python_floats_as_from_numpy_scalars():
+    specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                         -2.2250738585072014e-308, 1.0 / 3.0, -1e300, 2.5])
+    x = np.linspace(0.0, 1.0, len(specials))
+    w = WeightFunction(support=(0.0, math.inf), basis=None, coeffs=None,
+                       grid_x=x, grid_w=specials, min_value=-math.inf,
+                       method=Method.MOMENT_RECONSTRUCTION,
+                       diagnostics={"grid_imag": specials[::-1].copy()})
+    buf = io.StringIO()
+    weight_to_json(w, buf)
+    grid = json.loads(buf.getvalue())["grid"]
+    assert grid["x"] == [f"{v:.16e}" for v in x]
+    assert grid["wtilde"] == [f"{v:.16e}" for v in specials]
+    buf = io.StringIO()
+    with np.errstate(invalid="ignore"):
+        weight_to_csv(w, CLASSICAL, buf)
+        phys = physical_weight(w, CLASSICAL).grid_w
+    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    columns = (x, specials, phys, specials[::-1])
+    assert rows == [[f"{c[i]:.16e}" for c in columns] for i in range(len(x))]
