@@ -31,7 +31,6 @@ from .coherent import (
     CoherentState,
     annihilator_edge_defect,
     annihilator_residual,
-    coefficient_distance_sq,
     label_distance_sq,
     make_state,
     overlap,
@@ -66,7 +65,6 @@ from .qnumbers import (
     DeformationParams,
     QNumberSequence,
     qp_number,
-    qp_number_special,
     qp_sequence,
 )
 from .unity import (
@@ -75,7 +73,6 @@ from .unity import (
     MomentSet,
     QuadratureSpec,
     WeightFunction,
-    fourier_damping_refinement,
     identity_matrix_2d,
     moment_ratios,
     physical_weight,
@@ -123,13 +120,11 @@ __all__ = [
     "boundary_margin",
     "build_operators",
     "classify_regime",
-    "coefficient_distance_sq",
     "convergence_radius",
     "custom_basket_operators",
     "default_parameter_grid",
     "exp1",
     "exp2",
-    "fourier_damping_refinement",
     "identity_matrix_2d",
     "label_distance_sq",
     "make_state",
@@ -139,7 +134,6 @@ __all__ = [
     "proposition1_check",
     "proposition2_check",
     "qp_number",
-    "qp_number_special",
     "qp_sequence",
     "ratio_test",
     "ratio_test_logmag",

@@ -180,13 +180,17 @@ def _cmd_weight(args, config) -> int:
     if method not in ("moments", "fourier"):
         raise InvalidParameterError(f"unknown method {method!r}")
     grid_points = int(_setting(args, config, "grid_points", 513))
+    if grid_points < 1:
+        raise InvalidParameterError("--grid-points must be at least 1")
+    x_max = _setting(args, config, "xmax", None)
+    if x_max is not None and not float(x_max) > 0:
+        raise InvalidParameterError("--xmax must be positive")
     if method == "moments":
         n_max = int(_setting(args, config, "nmax", 24))
         degree = int(_setting(args, config, "degree", 12))
         moments = target_moments(params, n_max)
-        x_max = _setting(args, config, "xmax", None)
         weight = weight_from_moments(moments, degree, grid_points=grid_points,
-                                     x_max=float(x_max) if x_max else None)
+                                     x_max=None if x_max is None else float(x_max))
     else:
         y_cut = float(_setting(args, config, "ycut", 60.0))
         damping = float(_setting(args, config, "damping", 1e-3))

@@ -163,17 +163,6 @@ def label_distance_sq(s1: CoherentState, s2: CoherentState) -> float:
     return max(0.0, 2.0 * (1.0 - overlap(s1, s2).real))
 
 
-def coefficient_distance_sq(s1: CoherentState, s2: CoherentState) -> float:
-    """Direct ||c1 - c2||^2 for cross-validation against label_distance_sq."""
-    _check_pair(s1, s2)
-    m = max(s1.dim, s2.dim)
-    c1 = np.zeros(m, dtype=complex)
-    c2 = np.zeros(m, dtype=complex)
-    c1[: s1.dim] = s1.coeffs
-    c2[: s2.dim] = s2.coeffs
-    return float(np.sum(np.abs(c1 - c2) ** 2))
-
-
 def _check_state_ops(state: CoherentState, ops: FockOperators) -> None:
     if ops.dim != state.dim:
         raise ParameterMismatchError(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .defexp import convergence_radius
 from .errors import InvalidParameterError
-from .qnumbers import DeformationParams, _unit_powers, log_abs_numbers
+from .qnumbers import DeformationParams, log_abs_numbers
 from .unity import format_float, open_output
 
 MODULUS_TOL = 1e-9
@@ -143,13 +143,6 @@ def _ratio_kernel(logs: np.ndarray, window: int) -> list[RatioTestResult]:
     return results
 
 
-def _ratio_tests(logs: np.ndarray, window: int) -> list[RatioTestResult]:
-    """``ratio_test_logmag`` of every row, in one batch when all are finite."""
-    if np.isfinite(logs).all():
-        return _ratio_kernel(logs, window)
-    return [ratio_test_logmag(row, window) for row in logs]
-
-
 def ratio_test(terms: Iterable[complex], window: int = DEFAULT_WINDOW) -> RatioTestResult:
     """Ratio test on literal series terms (zeros are dropped as non-informative)."""
     mags = np.abs(np.fromiter((complex(t) for t in terms), dtype=complex))
@@ -190,14 +183,6 @@ def _exp_log_terms(cum: np.ndarray, xs: Sequence[float]) -> np.ndarray:
     return np.hstack([np.zeros((len(xs), 1)), n * log_x - cum])
 
 
-def _has_resonance(params: DeformationParams, count: int) -> bool:
-    # [n] cancels catastrophically exactly when (qp)**n returns to 1
-    if params.is_degenerate:
-        return params.q == 0
-    mods, gaps = _unit_powers(params, count)
-    return bool(np.any(gaps <= 1e-8 * (mods + 1.0)))
-
-
 # ----------------------------------------------------------------------
 # proposition checks
 
@@ -217,13 +202,13 @@ def proposition1_check(Q: complex, y_samples: Sequence[float], *,
     on_circle = abs(abs(Q) - 1.0) <= MODULUS_TOL
     expected = RatioVerdict.CONVERGENT if on_circle else RatioVerdict.DIVERGENT
     ys = [float(y) for y in y_samples]
-    if _has_resonance(params, n_terms):
+    logs = log_abs_numbers(params, n_terms)
+    if np.isneginf(logs).any():   # a flagged (vanishing) [n]
         return [Prop1Row(Q=Q, y=y, verdict=None, estimate=math.nan,
                          expected=expected, consistent=True,
                          skipped="root-of-unity degeneracy") for y in ys]
-    cum = np.cumsum(log_abs_numbers(params, n_terms))
-    results = _ratio_tests(
-        _wbar_log_terms(cum, ys, _log_factorials(n_terms)), window)
+    results = _ratio_kernel(
+        _wbar_log_terms(np.cumsum(logs), ys, _log_factorials(n_terms)), window)
     return [Prop1Row(Q=Q, y=y, verdict=res.verdict, estimate=res.estimate,
                      expected=expected, consistent=res.verdict is expected)
             for y, res in zip(ys, results)]
@@ -258,7 +243,8 @@ def proposition2_check(grid: Sequence[DeformationParams],
         regime = classify_regime(params)
         radius = convergence_radius(params)
         note = ""
-        if _has_resonance(params, n_terms):
+        logs = log_abs_numbers(params, n_terms)
+        if np.isneginf(logs).any():   # a flagged (vanishing) [n]
             rows.append(RegimeVerdict(
                 params=params, regime=regime, v_exp1=None, v_exp2=None,
                 v_wbar=None, estimates=(math.nan,) * 3,
@@ -268,8 +254,8 @@ def proposition2_check(grid: Sequence[DeformationParams],
 
         xs = [frac * radius if 0 < radius < math.inf else 5.0 * frac
               for frac in x_fractions]
-        cum = np.cumsum(log_abs_numbers(params, n_terms))
-        results = _ratio_tests(np.vstack([
+        cum = np.cumsum(logs)
+        results = _ratio_kernel(np.vstack([
             _exp_log_terms(cum, xs), _wbar_log_terms(cum, y_samples, lgam)]),
             window)
         exp_res, wbar_res = results[:len(xs)], results[len(xs):]

@@ -26,6 +26,8 @@ DEGENERACY_THRESHOLD = 1e-12
 
 #: Relative cancellation level at which q**n - p**(-n) counts as an exact zero
 #: (q*p at a root of unity). The direct formula has no correct digits there.
+#: The one resonance rule: the store's builder and ``log_abs_numbers`` (and
+#: through it the regime sweeps) flag the same n.
 RESONANCE_RTOL = 1e-12
 
 #: terms the per-process [n] store keeps over all (q, p), 57 bytes each
@@ -88,8 +90,10 @@ def _running_products(factors: np.ndarray) -> np.ndarray:
 
 
 def _moduli(z: np.ndarray) -> np.ndarray:
-    # np.hypot rounds as the built-in complex abs does; np.abs does not
-    return np.hypot(z.real, z.imag)
+    # np.hypot rounds as the built-in complex abs does; np.abs does not. The
+    # outer abs makes a NaN positive, as the built-in abs returns it: past an
+    # overflow, [n] can hold NaN parts of either sign
+    return np.abs(np.hypot(z.real, z.imag))
 
 
 def _build(params: DeformationParams, count: int
@@ -98,7 +102,8 @@ def _build(params: DeformationParams, count: int
 
     A flagged [n] is an exact zero or, off the degenerate set, a numerator
     cancellation below RESONANCE_RTOL relative to its natural scale,
-    |q**n| + |p**(-n)|. Callers dividing by [n] must treat it as zero.
+    |q**n| + |p**(-n)|, where that scale is finite: an overflowed power is
+    not a cancellation. Callers dividing by [n] must treat it as zero.
     The division by q - 1/p applies CPython's rule for complex division
     (Smith, CACM Algorithm 116, 1962) to the real and imaginary parts, so
     every entry equals the scalar running-product formula bit for bit;
@@ -128,7 +133,8 @@ def _build(params: DeformationParams, count: int
             den = d.real * ratio + d.imag
             out.real = (a * ratio + b) / den
             out.imag = (b * ratio - a) / den
-        cancelled = _moduli(num) <= RESONANCE_RTOL * (_moduli(qn) + _moduli(pn))
+        scale = _moduli(qn) + _moduli(pn)
+        cancelled = np.isfinite(scale) & (_moduli(num) <= RESONANCE_RTOL * scale)
         return out, cancelled | (out == 0)
 
 
@@ -191,18 +197,6 @@ def qp_number(n: int, params: DeformationParams) -> complex:
     return complex(_numbers(params, n)[0][-1])
 
 
-def qp_number_special(n: int, Q: complex) -> complex:
-    """Symmetric one-parameter case [n] = (Q**n - Q**(-n))/(Q - 1/Q).
-
-    Same code path as ``qp_number`` with q = p = Q; Q = +-1 routes through the
-    degenerate limit n * Q**(n-1).
-    """
-    Q = complex(Q)
-    if Q == 0:
-        raise InvalidParameterError("Q must be nonzero")
-    return qp_number(n, DeformationParams(q=Q, p=Q))
-
-
 def iter_numbers(params: DeformationParams) -> Iterator[tuple[complex, bool]]:
     """Yield ([n], resonant) for n = 1, 2, ... as Python scalars.
 
@@ -228,29 +222,15 @@ def qp_sequence(n_max: int, params: DeformationParams) -> QNumberSequence:
           for i in (full.overflow_index, full.resonance_index)))
 
 
-def _unit_powers(params: DeformationParams, count: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """|w**n| and |w**n - 1| for n = 1..count, w = qp if |qp| <= 1 else 1/(qp).
-
-    ``np.cumprod`` forms the same products in the same order as a running
-    product from 1, and ``np.hypot`` rounds as the built-in complex ``abs``
-    does (``np.abs`` of a complex array does not), so both are byte-identical
-    to the scalar loop.
-    """
-    w = params.q * params.p
-    base = w if abs(w) <= 1.0 else 1.0 / w
-    powers = np.cumprod(np.full(count, base))
-    gaps = powers - 1.0
-    return np.hypot(powers.real, powers.imag), np.hypot(gaps.real, gaps.imag)
-
-
 def log_abs_numbers(params: DeformationParams, count: int) -> np.ndarray:
-    """log|[n]| for n = 1..count, stable at any scale.
+    """log|[n]| for n = 1..count, stable at any scale; -inf where [n] is flagged.
 
-    Uses q**n - p**(-n) = p**(-n) ((qp)**n - 1) when |qp| <= 1 and
-    q**n (1 - (qp)**(-n)) otherwise, so neither power can overflow.
-    Resonant cancellations come out as large negative values (log of a tiny
-    modulus), or -inf for an exact zero, never as NaN.
+    Uses q**n - p**(-n) = p**(-n) (w**n - 1) with w = qp when |qp| <= 1 and
+    q**n (1 - w**n) with w = 1/(qp) otherwise, so neither power can overflow.
+    The resonance rule |w**n - 1| <= RESONANCE_RTOL (|w**n| + 1) is the
+    builder's cancellation test in factored form; a flagged n gives -inf,
+    never NaN. ``np.cumprod`` forms the powers in the order of a running
+    product from 1, and ``_moduli`` rounds as the built-in complex ``abs``.
     """
     n = np.arange(1, count + 1, dtype=float)
     if params.is_degenerate:
@@ -262,6 +242,10 @@ def log_abs_numbers(params: DeformationParams, count: int) -> np.ndarray:
     else:
         la_lead = np.log(abs(params.q))
     la_denom = np.log(abs(params.denom))
+    w = params.q * params.p
+    powers = np.cumprod(np.full(count, w if abs(w) <= 1.0 else 1.0 / w))
+    gaps = _moduli(powers - 1.0)
     with np.errstate(divide="ignore"):
-        log_resid = np.log(_unit_powers(params, count)[1])
+        log_resid = np.log(gaps)
+    log_resid[gaps <= RESONANCE_RTOL * (_moduli(powers) + 1.0)] = -np.inf
     return n * la_lead + log_resid - la_denom

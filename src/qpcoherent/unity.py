@@ -26,7 +26,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -66,6 +66,10 @@ _GRID_SERIES_CAP = 400_000
 #: size of one complex block of the Fourier route: an x-row chunk of the
 #: exp(-i x y) matrix, or a block of Wbar terms over all nodes
 _BLOCK_BYTES = 1 << 20
+
+#: truncation of every Wbar sum, pointwise (``wbar_series``) or on the
+#: Fourier route's quadrature nodes
+WBAR_CONTROL = SeriesControl(n_max=4000, tol=1e-12, min_terms=10)
 
 
 class Basis(Enum):
@@ -175,49 +179,24 @@ def target_moments(params: DeformationParams, n_max: int) -> MomentSet:
 
 
 def wbar_series(y: float, params: DeformationParams,
-                ctrl: SeriesControl | None = None) -> SeriesEvaluation:
-    """Evaluate Wbar(y) = sum |[n]|! (iy)**n / (pi n!) with tail control.
+                ctrl: SeriesControl = WBAR_CONTROL) -> SeriesEvaluation:
+    """Evaluate Wbar(y) = sum |[n]|! (iy)**n / (pi n!): ``_wbar_values`` at one y.
 
-    Outside the bounded-|[n]| regimes the terms eventually grow; that is
-    reported as a DivergentInput verdict, not an exception, so sweeps can
-    tabulate it.
+    ``terms_used`` is the index of the term where the sum stopped, and
+    ``tail_bound`` is the stop rule's own budget, ``tol * max(|value|, 1)``,
+    that the last terms were tested against; it is not a proven bound on
+    the remainder. Growing terms, cancellation noise and the term cap raise
+    SeriesDivergenceError, so the verdict is always Converged.
     """
-    if ctrl is None:
-        ctrl = SeriesControl(n_max=2000, tol=1e-12, min_terms=10)
-    iy = 1j * float(y)
-    total = np.clongdouble(1.0 / math.pi)
-    term = np.clongdouble(1.0 / math.pi)
-    prev_abs = float(abs(term))
-    tail = math.inf
-    ratios: list[float] = []
-    for n, (value, _resonant) in zip(range(1, ctrl.n_max + 1), iter_numbers(params)):
-        term = term * np.clongdouble(iy) * np.clongdouble(abs(value) / n)
-        total = total + term
-        at = float(abs(term))
-        ratios.append(at / prev_abs if prev_abs > 0 else 0.0)
-        if len(ratios) > 10:
-            ratios.pop(0)
-        if at > 1e140:
-            return SeriesEvaluation(complex(total), n, math.inf,
-                                    Verdict.DIVERGENT_INPUT)
-        if n >= ctrl.min_terms and at <= prev_abs:
-            r = at / prev_abs if prev_abs > 0 else 0.0
-            if r < 1.0:
-                tail = at * r / (1.0 - r)
-                budget = ctrl.tol * max(float(abs(total)), 1.0)
-                if at <= budget and tail <= budget:
-                    return SeriesEvaluation(complex(total), n, tail,
-                                            Verdict.CONVERGED)
-        prev_abs = at
-    verdict = Verdict.TRUNCATED
-    if ratios and float(np.median(ratios)) > 1.02:
-        verdict = Verdict.DIVERGENT_INPUT
-    return SeriesEvaluation(complex(total), n, tail, verdict)
+    values, terms = _wbar_values(np.array([float(y)]), params, ctrl)
+    value = complex(values[0])
+    return SeriesEvaluation(value, terms, ctrl.tol * max(abs(value), 1.0),
+                            Verdict.CONVERGED)
 
 
 def _wbar_values(y: np.ndarray, params: DeformationParams,
-                 ctrl: SeriesControl) -> np.ndarray:
-    """Vectorized Wbar over a 1-D array of real ordinates.
+                 ctrl: SeriesControl = WBAR_CONTROL) -> tuple[np.ndarray, int]:
+    """Vectorized Wbar over a 1-D array of real ordinates, and the stop index.
 
     The terms peak near exp(R |y|) while the sum stays O(1), so beyond
     moderate |y| the alternating sum has no correct digits in double
@@ -230,7 +209,7 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
     and sum in the order of a term-by-term loop, and the stop and error tests
     run per row, so the result does not depend on the block depth. The sum
     stops at the first term n >= min_terms where every ordinate has seen two
-    terms in a row below ``tol * max(|total|, 1)``.
+    terms in a row below ``tol * max(|total|, 1)``; that n is returned.
     """
     y = np.asarray(y, dtype=float)
     iy = 1j * y
@@ -266,7 +245,7 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
                         f"Wbar cancellation noise {noise:.2e} at |y| up to "
                         f"{float(np.max(np.abs(y))):.3g}; reduce y_cut"
                     )
-                return totals[r].copy()
+                return totals[r].copy(), n + r + 1
             term, total, peak, small = terms[-1], totals[-1], peaks[-1], smalls[-1]
             n, depth = n + rows, 2 * depth
     raise SeriesDivergenceError(
@@ -274,9 +253,8 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
     )
 
 
-def _exp2_values(x: np.ndarray, params: DeformationParams,
-                 n_cap: int = _GRID_SERIES_CAP,
-                 tol: float = 1e-12) -> tuple[np.ndarray, int, float]:
+def _exp2_values(x: np.ndarray, params: DeformationParams
+                 ) -> tuple[np.ndarray, int, float]:
     """Vectorized sum x**n/|[n]|! for real nonnegative x strictly inside the disk.
 
     Returns the values, the number n of explicit terms and the largest
@@ -295,8 +273,9 @@ def _exp2_values(x: np.ndarray, params: DeformationParams,
     ln(tol/G)/ln|w| terms. Where |w| = 1, or where that count exceeds the cap
     or the about ln(tol)/ln(x/R) terms that the following stop takes at the
     edge, the sum stops instead once every point has seen two terms in a row
-    below ``tol * total``.
+    below ``tol * total``. Here tol = 1e-12 and the cap is _GRID_SERIES_CAP.
     """
+    n_cap, tol = _GRID_SERIES_CAP, 1e-12
     x = np.asarray(x, dtype=float)
     radius = convergence_radius(params)
     if np.any(x < 0) or np.any(x >= radius):
@@ -504,11 +483,7 @@ def weight_from_fourier(
     damping: float,
     x_grid: np.ndarray | None = None,
     *,
-    ctrl: SeriesControl | None = None,
     wbar: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    rtol: float = 1e-6,
-    nodes: int = 64,
-    max_doublings: int = 10,
     decay_tol: float = 1e-6,
 ) -> WeightFunction:
     """(1/2pi) integral_{-Y}^{Y} exp(-iyx) exp(-eps y^2) Wbar(y) dy on a grid.
@@ -521,6 +496,8 @@ def weight_from_fourier(
     ``decay_tol``. Each panel-doubling sweep reduces bounded x-row chunks of
     exp(-iyx) straight into the result, so memory does not grow with the
     panel count; the converged sweep's Wbar values give the stored weights.
+    Sweeps use 64-node panels and stop at a relative agreement of 1e-6 within
+    1024 panels.
     """
     if y_cut <= 0 or damping <= 0:
         raise InvalidParameterError("y_cut and damping must be positive")
@@ -536,8 +513,7 @@ def weight_from_fourier(
     elif params.is_degenerate and abs(abs(params.q) - 1.0) < 1e-9:
         wbar_fn = lambda y: 1.0 / (math.pi * (1.0 - 1j * np.asarray(y)))
     else:
-        series_ctrl = ctrl or SeriesControl(n_max=4000, tol=1e-12, min_terms=10)
-        wbar_fn = lambda y: _wbar_values(y, params, series_ctrl)
+        wbar_fn = lambda y: _wbar_values(y, params)[0]
 
     sweep = {}   # nodes, weights and Wbar values of the latest sweep
 
@@ -545,8 +521,7 @@ def weight_from_fourier(
         sweep.update(ys=ys, ws=ws, wbar=wbar_fn(ys))
         return _transform(x_grid, ys, sweep["wbar"] * np.exp(-damping * ys ** 2), ws)
 
-    F, panels = adaptive_gl(integrand, -y_cut, y_cut, nodes=nodes,
-                            rtol=rtol, max_doublings=max_doublings)
+    F, panels = adaptive_gl(integrand, -y_cut, y_cut, rtol=1e-6)
     F = F / (2.0 * math.pi)
 
     edge = np.array([-y_cut, y_cut])
@@ -579,33 +554,10 @@ def weight_from_fourier(
     )
 
 
-def fourier_damping_refinement(
-    params: DeformationParams,
-    y_cut: float,
-    dampings: Sequence[float],
-    x_grid: np.ndarray | None = None,
-    **kwargs,
-) -> tuple[list[WeightFunction], list[float]]:
-    """Inversions at a decreasing damping ladder, with successive sup-changes.
-
-    The second return value holds sup|W_k - W_{k-1}| between consecutive
-    damping levels; a plateau indicates the window, not the damper, limits
-    the resolution, and growth under refinement flags a target that is not a
-    pointwise function (edge atoms, signed parts).
-    """
-    if len(dampings) < 2 or any(b >= a for a, b in zip(dampings, dampings[1:])):
-        raise InvalidParameterError("dampings must strictly decrease")
-    weights = [weight_from_fourier(params, y_cut, eps, x_grid, **kwargs)
-               for eps in dampings]
-    changes = [float(np.max(np.abs(b.grid_w - a.grid_w)))
-               for a, b in zip(weights, weights[1:])]
-    return weights, changes
-
-
-def physical_weight(wtilde: WeightFunction, params: DeformationParams,
-                    *, series_cap: int = _GRID_SERIES_CAP) -> WeightFunction:
+def physical_weight(wtilde: WeightFunction, params: DeformationParams
+                    ) -> WeightFunction:
     """Pointwise W(x) = exp2(x) * Wt(x) on the stored grid (grid-only result)."""
-    vals, terms, tail = _exp2_values(wtilde.grid_x, params, n_cap=series_cap)
+    vals, terms, tail = _exp2_values(wtilde.grid_x, params)
     w_phys = wtilde.grid_w * vals
     w_phys.flags.writeable = False
     diag = dict(wtilde.diagnostics)
@@ -705,9 +657,9 @@ def identity_matrix_2d(weight: WeightFunction, params: DeformationParams,
 
 
 def weight_to_csv(weight: WeightFunction, params: DeformationParams,
-                  file_or_path, *, series_cap: int = _GRID_SERIES_CAP) -> None:
+                  file_or_path) -> None:
     """Columns x, wtilde, w_physical (plus wtilde_imag for Fourier results)."""
-    phys = physical_weight(weight, params, series_cap=series_cap)
+    phys = physical_weight(weight, params)
     imag = weight.diagnostics.get("grid_imag")
     with open_output(file_or_path) as fh:
         header = "x,wtilde,w_physical"

@@ -33,6 +33,14 @@ def test_qnum_quon_table(tmp_path):
     assert float(last["abs_factorial"]) == pytest.approx(2.625)
 
 
+def test_qnum_overflow_is_not_a_zero(tmp_path):
+    # 3**647 overflows; that is no root-of-unity cancellation, so [647] is
+    # not printed as 0
+    code, text = run_cli(["qnum", "--q", "3", "--p", "1", "--nmax", "650"], tmp_path)
+    assert code == 0
+    assert parse_csv(text)[647]["number_re"] == "inf"
+
+
 def test_qnum_classical_factorials(tmp_path):
     code, text = run_cli(["qnum", "--q", "1", "--p", "1", "--nmax", "4"], tmp_path)
     assert code == 0
@@ -112,6 +120,20 @@ def test_weight_fourier_has_imag_diagnostic(tmp_path):
     rows = parse_csv(text)
     assert "wtilde_imag" in rows[0]
     assert max(abs(float(r["wtilde_imag"])) for r in rows) <= 1e-12
+
+
+@pytest.mark.parametrize("extra", [
+    ["--q", "0.5", "--grid-points", "0"],
+    ["--q", "0.5", "--grid-points", "-3"],
+    ["--q", "0.5", "--grid-points", "0", "--method", "fourier"],
+    ["--q", "1", "--xmax", "0"],
+    ["--q", "1", "--xmax", "-2"],
+], ids=" ".join)
+def test_weight_bad_grid_is_usage_error(tmp_path, capsys, extra):
+    code, text = run_cli(["weight", "--p", "1", *extra], tmp_path)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --")
 
 
 def test_weight_unknown_method_is_usage_error():

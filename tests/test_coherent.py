@@ -13,7 +13,6 @@ from qpcoherent import (
     annihilator_edge_defect,
     annihilator_residual,
     build_operators,
-    coefficient_distance_sq,
     convergence_radius,
     label_distance_sq,
     make_state,
@@ -131,7 +130,10 @@ def test_distance_cross_validates_with_coefficients():
         s1 = make_state(0.30 * r, params)
         s2 = make_state(0.45 * r * cmath.exp(0.4j), params)
         d_overlap = label_distance_sq(s1, s2)
-        d_direct = coefficient_distance_sq(s1, s2)
+        # direct ||c1 - c2||**2, the shorter vector padded with zeros
+        c1, c2 = (np.zeros(max(s1.dim, s2.dim), dtype=complex) for _ in range(2))
+        c1[: s1.dim], c2[: s2.dim] = s1.coeffs, s2.coeffs
+        d_direct = float(np.sum(np.abs(c1 - c2) ** 2))
         assert d_direct == pytest.approx(d_overlap, abs=1e-10)
 
 

@@ -24,7 +24,8 @@ from qpcoherent import (
     regime_report_to_csv,
     regime_report_to_json,
 )
-from qpcoherent.convergence import _ratio_tests, _worst
+from qpcoherent.convergence import _ratio_kernel, _worst
+from qpcoherent.qnumbers import RESONANCE_RTOL
 
 
 def test_classify_examples():
@@ -235,7 +236,7 @@ def _ref_log_abs_numbers(params, count):
 def _ref_resonant(params, count):
     if params.is_degenerate:
         return params.q == 0
-    return any(abs(wpow - 1.0) <= 1e-8 * (abs(wpow) + 1.0)
+    return any(abs(wpow - 1.0) <= RESONANCE_RTOL * (abs(wpow) + 1.0)
                for wpow in _ref_powers(params, count))
 
 
@@ -351,12 +352,47 @@ def test_prop1_matches_scalar_reference(Q):
 def test_batched_ratio_tests_match_one_row_tests():
     rng = np.random.default_rng(7)
     rows = np.cumsum(rng.normal(-0.5, 0.3, size=(4, 160)), axis=1)
-    rows[1, 40] = -np.inf      # a vanishing term
-    rows[2, 155] = np.nan
-    got = _ratio_tests(rows, 50)
+    got = _ratio_kernel(rows, 50)
     assert repr(got) == repr([ratio_test_logmag(row, 50) for row in rows])
     # the kernel is the plain median / std of the last log-ratios
     for row, res in zip(rows, got):
-        tail = np.diff(row[np.isfinite(row)])[-50:]
+        tail = np.diff(row)[-50:]
         assert res.estimate == math.exp(float(np.median(tail)))
         assert res.sigma == float(np.std(tail))
+    # one-row tests drop the terms whose logs are not finite
+    row = rows[0].copy()
+    row[40], row[155] = -np.inf, np.nan
+    assert repr(ratio_test_logmag(row, 50)) == repr(
+        _ratio_kernel(np.delete(row, [40, 155])[np.newaxis], 50)[0])
+
+
+# ----------------------------------------------------------------------
+# the one resonance rule: RESONANCE_RTOL, read from log_abs_numbers
+
+
+def _relative_gap(params, count):
+    return min(abs(w - 1.0) / (abs(w) + 1.0) for w in _ref_powers(params, count))
+
+
+def test_near_resonant_pair_is_tested():
+    # (qp)**5 misses 1 by a relative 2.5e-10: flagged neither by the store's
+    # 1e-12 rule nor, now, by the sweeps; the spikes of |[5k]| near 0 leave
+    # the median ratio inside its 3-sigma band
+    params = DeformationParams(cmath.exp(1j * (2 * math.pi / 5 + 1e-10)), 1.0)
+    assert 1e-12 < _relative_gap(params, 300) <= 1e-8
+    row, = proposition2_check([params])
+    assert row.regime is Regime.REGIME_I and row.note == ""
+    assert (row.v_exp1, row.v_exp2, row.v_wbar) == (RatioVerdict.INCONCLUSIVE,) * 3
+    assert not row.contradiction
+    Q = cmath.exp(1j * (math.pi / 5 + 1e-10))
+    assert 1e-12 < _relative_gap(DeformationParams(Q, Q), 400) <= 1e-8
+    prop1 = proposition1_check(Q, (1.0,))[0]
+    assert prop1.skipped is None
+    assert prop1.verdict is RatioVerdict.INCONCLUSIVE and not prop1.consistent
+
+
+def test_exact_root_is_still_skipped():
+    assert _relative_gap(DeformationParams(1j, 1j), 300) == 0.0
+    assert proposition2_check([DeformationParams(1j, 1j)])[0].note == \
+        "root-of-unity degeneracy; skipped"
+    assert proposition1_check(1j, (1.0,))[0].skipped == "root-of-unity degeneracy"

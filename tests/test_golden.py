@@ -79,6 +79,12 @@ COMMANDS = [
     ["regimes", "--prop", "1", "--format", "json"],
     ["regimes", "--prop", "2"],
     ["regimes", "--prop", "2", "--format", "json"],
+    # physical-weight branches of the moments-route CSV: the degenerate
+    # bracket, lambda = 1 with an upper bound, and |w| = 1 (a two-term streak)
+    ["weight", "--q", "1", "--p", "1"],
+    ["weight", "--q", "0.8775825618903728+0.479425538604203j",
+     "--p", "0.6483627670417677+1.0097651817694757j"],
+    ["weight", "--q", "0.8775825618903728+0.479425538604203j", "--p", "1"],
 ]
 
 

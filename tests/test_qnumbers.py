@@ -16,8 +16,8 @@ from qpcoherent import (
     DeformationParams,
     InvalidParameterError,
     qp_number,
-    qp_number_special,
     qp_sequence,
+    target_moments,
 )
 from qpcoherent import qnumbers
 from qpcoherent.qnumbers import (
@@ -84,29 +84,27 @@ def test_number_negative_index_rejected():
         qp_number(-1, QUON)
 
 
+# the symmetric one-parameter case q = p = Q: [n] = (Q**n - Q**(-n))/(Q - 1/Q)
+
+
 def test_special_hand_value():
-    assert qp_number_special(2, 2.0) == pytest.approx(2.5, abs=1e-15)
+    assert qp_number(2, DeformationParams(2.0, 2.0)) == pytest.approx(2.5, abs=1e-15)
 
 
 def test_special_first_number_is_one():
     for Q in (2.0, 0.3 + 0.4j, cmath.exp(0.9j)):
-        assert qp_number_special(1, Q) == pytest.approx(1.0, abs=1e-14)
+        assert qp_number(1, DeformationParams(Q, Q)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_special_unit_argument_degenerate_limit():
-    assert qp_number_special(3, 1.0) == 3
-    assert qp_number_special(3, -1.0) == pytest.approx(3.0, abs=1e-14)
+    # Q = +-1 is on the degenerate set: n Q**(n-1)
+    assert qp_number(3, DeformationParams(1.0, 1.0)) == 3
+    assert qp_number(3, DeformationParams(-1.0, -1.0)) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_special_zero_rejected():
     with pytest.raises(InvalidParameterError):
-        qp_number_special(2, 0.0)
-
-
-def test_special_matches_symmetric_pair():
-    Q = 0.7 + 0.4j
-    for n in range(8):
-        assert qp_number_special(n, Q) == qp_number(n, DeformationParams(Q, Q))
+        qp_number(2, DeformationParams(0.0, 0.0))
 
 
 def test_sequence_quon_factorials():
@@ -148,6 +146,16 @@ def test_sequence_root_of_unity_resonance():
     assert seq.resonance_index == 2
     assert seq.numbers[2] == 0
     assert np.all(seq.factorials[2:] == 0)
+
+
+def test_overflow_is_not_a_resonance():
+    # 3**647 overflows: [647] is inf, not a cancellation flagged as 0, so the
+    # moments report the factorial overflow at n = 37
+    seq = qp_sequence(650, DeformationParams(3.0, 1.0))
+    assert seq.resonance_index is None and seq.overflow_index == 37
+    assert seq.numbers[647].real == math.inf
+    with pytest.raises(InvalidParameterError, match="overflows at n = 37"):
+        target_moments(DeformationParams(3.0, 1.0), 700)
 
 
 def test_degenerate_branch_continuity():
@@ -214,6 +222,18 @@ def test_log_abs_numbers_against_oracle(q, p):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+def test_log_abs_numbers_minus_inf_exactly_where_the_builder_flags():
+    # (qp)**(5k) misses 1 by a relative 8.5e-13 k: flagged for k = 1, 2 only
+    near = DeformationParams(cmath.exp(1j * (2 * math.pi / 5 + 1.7e-13)), 1.0)
+    flagged = np.flatnonzero(np.isneginf(log_abs_numbers(near, 300))) + 1
+    assert flagged.tolist() == [5, 10]
+    for q, p in [(near.q, near.p), *_builder_points()]:
+        params = DeformationParams(q, p)
+        with np.errstate(divide="ignore"):
+            logs = log_abs_numbers(params, 300)
+        assert np.isneginf(logs).tolist() == _numbers(params, 300)[1].tolist(), (q, p)
+
+
 def test_log_abs_numbers_exact_resonance_is_minus_inf():
     # q = p = i: qp = -1, so (qp)**2 = 1 exactly and every even [n] is 0
     with warnings.catch_warnings():
@@ -248,8 +268,9 @@ def _scalar_numbers(q, p, count):
         pn *= 1.0 / p
         num = qn - pn
         value = num / denom
-        rows.append((value, abs(num) <= RESONANCE_RTOL * (abs(qn) + abs(pn))
-                     or value == 0))
+        scale = abs(qn) + abs(pn)   # an overflowed power is no cancellation
+        rows.append((value, math.isfinite(scale)
+                     and abs(num) <= RESONANCE_RTOL * scale or value == 0))
     return rows
 
 

@@ -19,7 +19,6 @@ from qpcoherent import (
     SeriesDivergenceError,
     Verdict,
     WeightFunction,
-    fourier_damping_refinement,
     identity_matrix_2d,
     moment_ratios,
     physical_weight,
@@ -31,6 +30,7 @@ from qpcoherent import (
     weight_to_csv,
     weight_to_json,
 )
+from qpcoherent import unity
 
 from oracles import gamma_moment, ref_exp2_certified, ref_wbar
 
@@ -77,7 +77,9 @@ def test_moments_reject_root_of_unity():
 
 
 def test_wbar_at_zero():
-    assert wbar_series(0.0, QUON).value == pytest.approx(1.0 / math.pi, abs=1e-16)
+    ev = wbar_series(0.0, QUON)
+    assert ev.value == pytest.approx(1.0 / math.pi, abs=1e-16)
+    assert ev.terms_used == 10   # every term past the first is 0: min_terms
 
 
 def test_wbar_classical_geometric_closed_form():
@@ -94,9 +96,19 @@ def test_wbar_quon_against_oracle():
                                                              abs=1e-15)
 
 
+def test_wbar_series_is_the_kernel_at_one_point():
+    for y in (0.3, 1.0, -4.0):
+        ev = wbar_series(y, QUON)
+        values, terms = unity._wbar_values(np.array([y]), QUON)
+        assert (ev.value, ev.terms_used) == (complex(values[0]), terms)
+        # the stop rule's own budget, not a proven remainder bound
+        assert ev.tail_bound == 1e-12 * max(abs(ev.value), 1.0)
+
+
 def test_wbar_divergence_is_data():
-    ev = wbar_series(1.0, DeformationParams(2.0, 2.0))
-    assert ev.verdict is Verdict.DIVERGENT_INPUT
+    # |[n]| grows like 2**n: the terms outgrow n!, and the kernel raises
+    with pytest.raises(SeriesDivergenceError, match="diverges"):
+        wbar_series(1.0, DeformationParams(2.0, 2.0))
 
 
 # ----------------------------------------------------------------------
@@ -197,15 +209,14 @@ def test_fourier_evaluate_matches_grid():
 
 def test_fourier_damping_refinement_ladder():
     xg = np.linspace(0.3, 4.0, 48)
-    weights, changes = fourier_damping_refinement(
-        CLASSICAL, 300.0, (4e-3, 2e-3, 1e-3), xg)
-    assert len(weights) == 3 and len(changes) == 2
+    weights = [weight_from_fourier(CLASSICAL, 300.0, eps, xg)
+               for eps in (4e-3, 2e-3, 1e-3)]
+    changes = [float(np.max(np.abs(b.grid_w - a.grid_w)))
+               for a, b in zip(weights, weights[1:])]
     # a smooth target stabilizes under damping refinement
     assert changes[1] < 1e-3
     np.testing.assert_allclose(weights[-1].grid_w, np.exp(-xg) / math.pi,
                                atol=1e-3)
-    with pytest.raises(InvalidParameterError):
-        fourier_damping_refinement(CLASSICAL, 300.0, (1e-3,), xg)
 
 
 # ----------------------------------------------------------------------
