@@ -22,14 +22,12 @@ from .convergence import (
     default_parameter_grid,
     proposition1_check,
     proposition2_check,
-    ratio_test,
     ratio_test_logmag,
     regime_report_to_csv,
     regime_report_to_json,
 )
 from .coherent import (
     CoherentState,
-    annihilator_edge_defect,
     annihilator_residual,
     label_distance_sq,
     make_state,
@@ -71,7 +69,6 @@ from .unity import (
     Basis,
     Method,
     MomentSet,
-    QuadratureSpec,
     WeightFunction,
     identity_matrix_2d,
     moment_ratios,
@@ -103,7 +100,6 @@ __all__ = [
     "QNumberSequence",
     "QpcError",
     "QuadratureError",
-    "QuadratureSpec",
     "RatioTestResult",
     "RatioVerdict",
     "Regime",
@@ -115,7 +111,6 @@ __all__ = [
     "SeriesEvaluation",
     "Verdict",
     "WeightFunction",
-    "annihilator_edge_defect",
     "annihilator_residual",
     "boundary_margin",
     "build_operators",
@@ -135,7 +130,6 @@ __all__ = [
     "proposition2_check",
     "qp_number",
     "qp_sequence",
-    "ratio_test",
     "ratio_test_logmag",
     "regime_report_to_csv",
     "regime_report_to_json",

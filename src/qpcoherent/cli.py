@@ -31,7 +31,6 @@ from .errors import InvalidParameterError, LabelOutOfDiskError, QpcError
 from .fock import build_operators, relation_residuals
 from .qnumbers import DeformationParams, qp_sequence
 from .unity import (
-    QuadratureSpec,
     format_float,
     open_output,
     resolution_residual,
@@ -227,8 +226,12 @@ def _verify_checks(params: DeformationParams, dim: int, degree: int) -> list[dic
         raise LabelOutOfDiskError("|z|^2 = 0 >= convergence radius 0")
     span = radius if math.isfinite(radius) else 4.0
 
+    @functools.cache   # label states share a few dimensions
+    def operators(d):
+        return build_operators(d, params)
+
     def fock_relations():
-        report = relation_residuals(build_operators(dim, params))
+        report = relation_residuals(operators(dim))
         worst = max(report.residual_qmutation, report.residual_delta_comm,
                     report.residual_adag_comm, report.residual_qp)
         return worst, 1e-12, worst <= 1e-12
@@ -250,8 +253,7 @@ def _verify_checks(params: DeformationParams, dim: int, degree: int) -> list[dic
         worst, budget = 0.0, math.inf
         for state in label_states():
             if state.dim >= 2:
-                ops = build_operators(state.dim, params)
-                worst = max(worst, annihilator_residual(state, ops))
+                worst = max(worst, annihilator_residual(state, operators(state.dim)))
                 budget = min(budget, max(1e-10, 10.0 * state.tail_bound))
         return worst, budget, worst <= budget
 
@@ -280,8 +282,7 @@ def _verify_checks(params: DeformationParams, dim: int, degree: int) -> list[dic
         return mres, 1e-6, mres <= 1e-6
 
     def resolution():
-        rres = resolution_residual(weight(), params, min(dim, degree),
-                                   QuadratureSpec())
+        rres = resolution_residual(weight(), params, min(dim, degree))
         return rres, 1e-4, rres <= 1e-4
 
     for name, check in (("fock_relations", fock_relations),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defexp import DEFAULT_CONTROL, SeriesControl, Verdict, convergence_radius, exp2
+from .defexp import SeriesControl, Verdict, convergence_radius, exp2
 from .errors import (
     InvalidParameterError,
     LabelOutOfDiskError,
@@ -25,10 +25,13 @@ from .errors import (
     SeriesDivergenceError,
 )
 from .fock import FockOperators
-from .qnumbers import DeformationParams, _numbers
+from .qnumbers import DeformationParams, _stored
 
 # states never report a tail below the double-rounding floor
 _TAIL_FLOOR = 1e-14
+
+# truncation of the normalization series sum |z|**(2n) / |[n]|!
+_STATE_CONTROL = SeriesControl(n_max=500, tol=1e-13, min_terms=10)
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,8 @@ class CoherentState:
         return len(self.coeffs)
 
 
-def _norm_series(z: complex, params: DeformationParams, ctrl: SeriesControl):
-    ev = exp2(abs(z) ** 2, params, ctrl)
+def _norm_series(z: complex, params: DeformationParams):
+    ev = exp2(abs(z) ** 2, params, _STATE_CONTROL)
     if ev.verdict is Verdict.DIVERGENT_INPUT:
         raise LabelOutOfDiskError(
             f"|z|^2 = {abs(z)**2:.6g} is not inside the convergence disk "
@@ -64,25 +67,20 @@ def make_state(
     params: DeformationParams,
     dim: int | None = None,
     normalize: bool = True,
-    *,
-    ctrl: SeriesControl | None = None,
 ) -> CoherentState:
     """Construct the state with label z on a truncated number basis.
 
     When ``dim`` is omitted it is chosen so the normalization-series tail is
-    below the series tolerance (1e-13 by default), tying the Fock truncation
+    below the series tolerance of 1e-13, tying the Fock truncation
     to a certified tail. Labels with |z|^2 >= R are rejected.
     """
     z = complex(z)
-    if ctrl is None:
-        ctrl = SeriesControl(n_max=DEFAULT_CONTROL.n_max, tol=1e-13,
-                             min_terms=DEFAULT_CONTROL.min_terms)
     radius = convergence_radius(params)
     if abs(z) ** 2 >= radius:
         raise LabelOutOfDiskError(
             f"|z|^2 = {abs(z)**2:.6g} >= convergence radius {radius:.6g}"
         )
-    ev = _norm_series(z, params, ctrl)
+    ev = _norm_series(z, params)
     if dim is None:
         dim = ev.terms_used + 1
     elif dim < 1:
@@ -122,12 +120,12 @@ def _continued_coeffs(head, length: int, z: complex,
     out[: len(head)] = head
     if len(head) == length:
         return out
-    numbers, resonant = _numbers(params, length - 1)
+    numbers = _stored(params, length - 1).numbers[:length]
     roots = np.sqrt(numbers)
     for n in range(len(head), length):
-        if resonant[n - 1]:
+        if numbers[n] == 0:   # a flagged [n]
             raise RootOfUnityDegeneracyError(n)
-        out[n] = out[n - 1] * z / roots[n - 1]
+        out[n] = out[n - 1] * z / roots[n]
     return out
 
 
@@ -177,15 +175,8 @@ def annihilator_residual(state: CoherentState, ops: FockOperators) -> float:
     """||a c - z c||_2 over components 0..dim-2.
 
     The last component is excluded: it is pure truncation (the matrix cannot
-    reach coefficient dim), and is available via annihilator_edge_defect.
+    reach coefficient dim).
     """
     _check_state_ops(state, ops)
     r = ops.a @ state.coeffs - state.z * state.coeffs
     return float(np.linalg.norm(r[: state.dim - 1]))
-
-
-def annihilator_edge_defect(state: CoherentState, ops: FockOperators) -> float:
-    """|(a c - z c)[dim-1]|, the truncation-edge component."""
-    _check_state_ops(state, ops)
-    r = ops.a @ state.coeffs - state.z * state.coeffs
-    return float(abs(r[state.dim - 1]))

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -141,16 +141,6 @@ def _ratio_kernel(logs: np.ndarray, window: int) -> list[RatioTestResult]:
             verdict=verdict, estimate=math.exp(med), sigma=sig,
             n_ratios=log_ratios.shape[1], tail_samples=tuple(tail)))
     return results
-
-
-def ratio_test(terms: Iterable[complex], window: int = DEFAULT_WINDOW) -> RatioTestResult:
-    """Ratio test on literal series terms (zeros are dropped as non-informative)."""
-    mags = np.abs(np.fromiter((complex(t) for t in terms), dtype=complex))
-    mags = mags[mags > 0]
-    if len(mags) == 0:
-        raise InvalidParameterError("degenerate term sequence: all zeros")
-    with np.errstate(divide="ignore"):
-        return ratio_test_logmag(np.log(mags), window=window)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import (
     ParameterMismatchError,
     RootOfUnityDegeneracyError,
 )
-from .qnumbers import DeformationParams, QNumberSequence, _moduli, _numbers
+from .qnumbers import DeformationParams, QNumberSequence, _moduli, _stored
 
 
 class Verdict(Enum):
@@ -114,8 +114,10 @@ def _sum_series(
     tail, n = math.inf, 0
     with np.errstate(all="ignore"):
         while n < n_max:
-            values, resonant = (a[n:] for a in _numbers(params, min(n + rows, n_max)))
-            count = int(resonant.argmax()) if resonant.any() else len(values)
+            end = min(n + rows, n_max)
+            values = _stored(params, end).numbers[n + 1:end + 1]
+            zero = values == 0   # a flagged [n]
+            count = int(zero.argmax()) if zero.any() else len(values)
             divisors = (_moduli(values) if use_abs else values)[:count]
             terms = np.multiply.accumulate(np.concatenate([[term], xl / divisors]))
             totals = np.add.accumulate(np.concatenate([[total], terms[1:]]))[1:]

@@ -30,7 +30,8 @@ DEGENERACY_THRESHOLD = 1e-12
 #: through it the regime sweeps) flag the same n.
 RESONANCE_RTOL = 1e-12
 
-#: terms the per-process [n] store keeps over all (q, p), 57 bytes each
+#: terms the per-process store keeps over all (q, p): one [n] array (0 where
+#: flagged), [n]! and |[n]|!, 40 bytes a term
 _STORE_TERMS = 8192
 
 
@@ -67,8 +68,8 @@ class QNumberSequence:
     ``abs_factorials`` is the running product of |[k]| (not |factorials|
     recomputed); the two agree to rounding. ``overflow_index`` is the first n
     whose factorial is no longer finite in double precision, ``resonance_index``
-    the first n >= 1 whose [n] is zero or a catastrophic cancellation (treated
-    as an exact zero by consumers that would divide by it).
+    the first n >= 1 whose [n] is zero or a catastrophic cancellation; such an
+    [n] is stored as an exact 0, and ``numbers[1:]`` is 0 nowhere else.
     """
 
     params: Optional[DeformationParams]
@@ -138,18 +139,20 @@ def _build(params: DeformationParams, count: int
         return out, cancelled | (out == 0)
 
 
-def _full_sequence(params: DeformationParams, count: int
-                   ) -> tuple[np.ndarray, np.ndarray, QNumberSequence]:
-    """``_build``'s arrays and the sequence of n_max = count, all read-only."""
+def _full_sequence(params: DeformationParams, count: int) -> QNumberSequence:
+    """The sequence of n_max = count, read-only; ``_build``'s flagged [n] are 0.
+
+    ``_build`` flags every exact zero, so ``numbers[1:] == 0`` holds exactly
+    at the flagged n: readers that divide by [n] test for a zero."""
     values, resonant = _build(params, count)
     numbers = np.concatenate([np.zeros(1, complex), np.where(resonant, 0, values)])
     with np.errstate(over="ignore", invalid="ignore"):
         factorials = _running_products(numbers[1:])
         abs_factorials = _running_products(_moduli(numbers[1:]))
     overflow = ~(np.isfinite(factorials) & np.isfinite(abs_factorials))
-    for arr in (values, resonant, numbers, factorials, abs_factorials):
+    for arr in (numbers, factorials, abs_factorials):
         arr.flags.writeable = False
-    return values, resonant, QNumberSequence(
+    return QNumberSequence(
         params, count, numbers, factorials, abs_factorials,
         int(np.argmax(overflow)) if overflow.any() else None,
         int(np.argmax(resonant)) + 1 if resonant.any() else None)
@@ -157,10 +160,10 @@ def _full_sequence(params: DeformationParams, count: int
 
 #: bit pattern of (q, p) -> ``_full_sequence``, least recently used first; not
 #: ``DeformationParams`` equality, as the sign of a zero part shows in [n].
-_store: OrderedDict[bytes, tuple] = OrderedDict()
+_store: OrderedDict[bytes, QNumberSequence] = OrderedDict()
 
 
-def _stored(params: DeformationParams, count: int):
+def _stored(params: DeformationParams, count: int) -> QNumberSequence:
     """``_full_sequence`` of at least ``count`` terms, of which callers take
     prefixes: entry n of every array depends only on entries up to n. An entry
     grows by doubling from 64 terms; the least recently used (q, p) go to keep
@@ -170,51 +173,41 @@ def _stored(params: DeformationParams, count: int):
     q, p = params.q, params.p
     key = struct.pack("<4d", q.real, q.imag, p.real, p.imag)
     entry = _store.pop(key, None)
-    if entry is None or entry[2].n_max < count:
-        grown = 2 * entry[2].n_max if entry is not None else 64
+    if entry is None or entry.n_max < count:
+        grown = 2 * entry.n_max if entry is not None else 64
         entry = _full_sequence(params, min(max(count, grown), _STORE_TERMS))
-        while sum(e[2].n_max for e in _store.values()) + entry[2].n_max > _STORE_TERMS:
+        while sum(e.n_max for e in _store.values()) + entry.n_max > _STORE_TERMS:
             _store.popitem(last=False)
     _store[key] = entry
     return entry
 
 
-def _numbers(params: DeformationParams, count: int
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """``_build(params, count)``, as read-only prefixes of the stored arrays."""
-    if count > _STORE_TERMS:
-        return _build(params, count)
-    values, resonant, _ = _stored(params, count)
-    return values[:count], resonant[:count]
-
-
 def qp_number(n: int, params: DeformationParams) -> complex:
-    """The n-th deformed number [n]; exact 0 at n = 0."""
+    """The n-th deformed number [n]; exact 0 at n = 0 and at a flagged n."""
     if n < 0:
         raise InvalidParameterError("n must be a nonnegative integer")
     if n == 0:
         return 0.0 + 0.0j
-    return complex(_numbers(params, n)[0][-1])
+    return complex(_stored(params, n).numbers[n])
 
 
-def iter_numbers(params: DeformationParams) -> Iterator[tuple[complex, bool]]:
-    """Yield ([n], resonant) for n = 1, 2, ... as Python scalars.
+def iter_numbers(params: DeformationParams) -> Iterator[complex]:
+    """Yield [n] for n = 1, 2, ... as Python complex numbers; 0 where flagged.
 
-    A view over ``_numbers`` in blocks of 64, 128, ... terms, so a consumer
-    that stops early never asks for its cap.
+    A view over the stored numbers in blocks of 64, 128, ... terms, so a
+    consumer that stops early never asks for its cap.
     """
-    start, count = 0, 64
+    start, count = 1, 64
     while True:
-        values, resonant = _numbers(params, count)
-        yield from zip(values[start:].tolist(), resonant[start:].tolist())
-        start, count = count, 2 * count
+        yield from _stored(params, count).numbers[start:count + 1].tolist()
+        start, count = count + 1, 2 * count
 
 
 def qp_sequence(n_max: int, params: DeformationParams) -> QNumberSequence:
     """Fill numbers, factorials and modulus-factorials up to n_max."""
     if n_max < 0:
         raise InvalidParameterError("n_max must be a nonnegative integer")
-    full, cut = _stored(params, n_max)[2], n_max + 1
+    full, cut = _stored(params, n_max), n_max + 1
     return QNumberSequence(
         params, n_max, full.numbers[:cut], full.factorials[:cut],
         full.abs_factorials[:cut],

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -48,8 +47,8 @@ from .errors import (
 from .qnumbers import (
     DeformationParams,
     _moduli,
-    _numbers,
     _running_products,
+    _stored,
     iter_numbers,
     qp_sequence,
 )
@@ -90,13 +89,6 @@ class MomentSet:
     n_max: int
     moments: np.ndarray
     support: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    nodes: int = 64
-    rtol: float = 1e-8
-    max_doublings: int = 12
 
 
 @dataclass(frozen=True)
@@ -222,7 +214,7 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
         while n < ctrl.n_max:
             rows = min(depth, ctrl.n_max - n,
                        max(1, _BLOCK_BYTES // (16 * max(y.size, 1))))
-            moduli = _moduli(_numbers(params, n + rows)[0][n:])
+            moduli = _moduli(_stored(params, n + rows).numbers[n + 1:n + rows + 1])
             steps = iy * (moduli / np.arange(n + 1, n + rows + 1))[:, None]
             terms = np.multiply.accumulate(np.concatenate([term[None], steps]))[1:]
             totals = np.add.accumulate(np.concatenate([total[None], terms]))[1:]
@@ -309,8 +301,8 @@ def _exp2_values(x: np.ndarray, params: DeformationParams
     total = term.copy()
     streak = np.zeros(x.shape, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, (value, resonant) in zip(range(1, n_cap + 1), iter_numbers(params)):
-            if resonant:
+        for n, value in zip(range(1, n_cap + 1), iter_numbers(params)):
+            if value == 0:   # a flagged [n]
                 raise RootOfUnityDegeneracyError(n)
             term *= x / abs(value)
             total += term
@@ -484,7 +476,6 @@ def weight_from_fourier(
     x_grid: np.ndarray | None = None,
     *,
     wbar: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    decay_tol: float = 1e-6,
 ) -> WeightFunction:
     """(1/2pi) integral_{-Y}^{Y} exp(-iyx) exp(-eps y^2) Wbar(y) dy on a grid.
 
@@ -492,10 +483,10 @@ def weight_from_fourier(
     classical degenerate branch the exact transform 1/(pi (1 - iy)) is used,
     since the series is just its Taylor expansion at 0. The imaginary part of
     the result and the window decay |Wbar(+-Y)| exp(-eps Y^2) are reported as
-    diagnostics; a warning is issued when the window does not decay below
-    ``decay_tol``. Each panel-doubling sweep reduces bounded x-row chunks of
-    exp(-iyx) straight into the result, so memory does not grow with the
-    panel count; the converged sweep's Wbar values give the stored weights.
+    diagnostics, and neither raises or warns. Each panel-doubling sweep
+    reduces bounded x-row chunks of exp(-iyx) straight into the result, so
+    memory does not grow with the panel count; the converged sweep's Wbar
+    values give the stored weights.
     Sweeps use 64-node panels and stop at a relative agreement of 1e-6 within
     1024 panels.
     """
@@ -527,10 +518,6 @@ def weight_from_fourier(
     edge = np.array([-y_cut, y_cut])
     window_decay = float(np.max(np.abs(wbar_fn(edge))) *
                          math.exp(-damping * y_cut ** 2))
-    if window_decay > decay_tol:
-        warnings.warn(
-            f"integrand at the window edge is {window_decay:.3e} > {decay_tol:g}; "
-            "increase y_cut or damping", stacklevel=2)
 
     ys = sweep["ys"]
     fw = sweep["ws"] * sweep["wbar"] * np.exp(-damping * ys ** 2)
@@ -583,17 +570,16 @@ def _integration_upper(weight: WeightFunction, dim: int) -> float:
     return max(float(np.max(weight.grid_x)), 3.0 * dim + 60.0)
 
 
-def moment_ratios(weight: WeightFunction, params: DeformationParams, dim: int,
-                  quad: QuadratureSpec | None = None) -> tuple[np.ndarray, int]:
+def moment_ratios(weight: WeightFunction, params: DeformationParams,
+                  dim: int) -> tuple[np.ndarray, int]:
     """M_n = pi * integral x**n Wt dx / |[n]|! for n < dim, by panel doubling.
 
-    Uses the shared ``adaptive_gl`` rule on the scaled integrand
-    pi * x**n * Wt / |[n]|!: doubling stops when two successive sweeps of the
-    full ratio vector M agree in sup norm to ``quad.rtol * max(|M|, 1)``.
-    Reaching the ``quad.max_doublings`` cap raises QuadratureError (the
-    weight representation is too coarse for x**n).
+    Uses the shared ``adaptive_gl`` rule with 64-node panels on the scaled
+    integrand pi * x**n * Wt / |[n]|!: doubling stops when two successive
+    sweeps of the full ratio vector M agree in sup norm to
+    ``1e-8 * max(|M|, 1)``. Reaching 4096 panels (12 doublings) raises
+    QuadratureError (the weight representation is too coarse for x**n).
     """
-    quad = quad or QuadratureSpec()
     seq = qp_sequence(dim, params)
     if seq.resonance_index is not None and seq.resonance_index < dim:
         raise RootOfUnityDegeneracyError(seq.resonance_index)
@@ -606,40 +592,36 @@ def moment_ratios(weight: WeightFunction, params: DeformationParams, dim: int,
                 * weight.evaluate(xs)[None, :]) @ ws
 
     try:
-        return adaptive_gl(f, 0.0, upper, nodes=quad.nodes, rtol=quad.rtol,
-                           max_doublings=quad.max_doublings)
+        return adaptive_gl(f, 0.0, upper, rtol=1e-8, max_doublings=12)
     except QuadratureError:
         raise QuadratureError(
-            f"moment ratios did not stabilize at rtol={quad.rtol:g} "
-            f"within {2 ** quad.max_doublings} panels"
+            "moment ratios did not stabilize at rtol=1e-08 within 4096 panels"
         ) from None
 
 
 def resolution_residual(weight: WeightFunction, params: DeformationParams,
-                        dim: int, quad: QuadratureSpec | None = None) -> float:
+                        dim: int) -> float:
     """max_n |M_n - 1| over n < dim; zero means the identity is resolved."""
-    ratios, _ = moment_ratios(weight, params, dim, quad)
+    ratios, _ = moment_ratios(weight, params, dim)
     return float(np.max(np.abs(ratios - 1.0)))
 
 
 def identity_matrix_2d(weight: WeightFunction, params: DeformationParams,
-                       dim: int, *, n_theta: int | None = None,
-                       r_panels: int = 4, nodes: int = 32) -> np.ndarray:
+                       dim: int) -> np.ndarray:
     """Coarse full polar quadrature of the reconstructed identity operator.
 
-    Cross-checks the reduced radial form: the angular trapezoid sum is exact
-    for the harmonics in play, so off-diagonal entries should vanish and the
-    diagonal should match moment_ratios within quadrature error.
+    Cross-checks the reduced radial form: the angular trapezoid sum over
+    4 dim angles is exact for the harmonics in play, so off-diagonal entries
+    should vanish and the diagonal should match moment_ratios within
+    quadrature error. The radial rule is 4 panels of 32 nodes.
     """
-    K = n_theta if n_theta is not None else 4 * dim
-    if K < 2 * dim:
-        raise InvalidParameterError("n_theta must be at least 2*dim")
+    K = 4 * dim
     seq = qp_sequence(dim, params)
     if seq.resonance_index is not None and seq.resonance_index < dim:
         raise RootOfUnityDegeneracyError(seq.resonance_index)
     upper = _integration_upper(weight, dim)
     r_max = math.sqrt(upper)
-    rs, ws = panel_nodes(0.0, r_max, r_panels, nodes)
+    rs, ws = panel_nodes(0.0, r_max, 4, 32)
     g = ws * rs * weight.evaluate(rs ** 2)
 
     sigma = _running_products(np.sqrt(seq.numbers[1:dim]))

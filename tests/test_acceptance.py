@@ -167,8 +167,7 @@ def test_criterion_05_cross_method_agreement():
         y_wall = 31.0 / radius
         for y_cut in (y_wall, 0.6 * y_wall):
             for damping in (1e-3, 1e-2, 3e-2):
-                weight_f = weight_from_fourier(params, y_cut, damping, xs,
-                                               decay_tol=math.inf)
+                weight_f = weight_from_fourier(params, y_cut, damping, xs)
                 best = min(best, float(np.max(np.abs(weight_f.grid_w - ref))))
         worst_per_params.append(best)
         print(f"cross-method best sup-difference on central 80% "

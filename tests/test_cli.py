@@ -8,7 +8,7 @@ from collections import OrderedDict
 
 import pytest
 
-from qpcoherent import qnumbers
+from qpcoherent import cli, qnumbers
 from qpcoherent.cli import main
 
 
@@ -111,7 +111,6 @@ def test_weight_classical_physical_column(tmp_path):
         assert float(row["w_physical"]) == pytest.approx(1 / math.pi, abs=1e-6)
 
 
-@pytest.mark.filterwarnings("ignore:integrand at the window edge")
 def test_weight_fourier_has_imag_diagnostic(tmp_path):
     code, text = run_cli(["weight", "--q", "0.5", "--p", "1", "--method",
                           "fourier", "--ycut", "12", "--damping", "1e-2",
@@ -299,3 +298,19 @@ def test_verify_builds_its_sequence_at_most_twice(q, p, monkeypatch, capsys):
                  "--dim", "20"]) == 0
     assert "false" not in capsys.readouterr().out
     assert 1 <= builds.count((q, p)) <= 2, builds
+
+
+def test_verify_builds_operators_once_per_dimension(monkeypatch, capsys):
+    # the 12 label states have 3 dimensions here: 20, 44 and 134
+    dims = []
+    build = cli.build_operators
+
+    def counting(dim, params):
+        dims.append(dim)
+        return build(dim, params)
+
+    monkeypatch.setattr(cli, "build_operators", counting)
+    assert main(["verify", "--q", repr(cmath.rect(0.6, 0.5)),
+                 "--p", repr(cmath.rect(1.0, -1.1))]) == 0
+    assert "false" not in capsys.readouterr().out
+    assert len(dims) <= 4 and len(set(dims)) == len(dims), dims

@@ -10,7 +10,7 @@ from qpcoherent import (
     InvalidParameterError,
     LabelOutOfDiskError,
     ParameterMismatchError,
-    annihilator_edge_defect,
+    RootOfUnityDegeneracyError,
     annihilator_residual,
     build_operators,
     convergence_radius,
@@ -18,6 +18,7 @@ from qpcoherent import (
     make_state,
     overlap,
 )
+from qpcoherent import coherent
 
 QUON = DeformationParams(0.5, 1.0)
 CLASSICAL = DeformationParams(1.0, 1.0)
@@ -87,7 +88,6 @@ def test_overlap_vacuum_pair_exact():
 
 
 def test_overlap_builds_numbers_only_to_continue_the_shorter_state(monkeypatch):
-    import qpcoherent.coherent as coherent
     short, long_ = make_state(0.2, QUON), make_state(0.9, QUON)
     assert short.dim < long_.dim
     same = make_state(0.5, QUON, dim=long_.dim)
@@ -97,12 +97,23 @@ def test_overlap_builds_numbers_only_to_continue_the_shorter_state(monkeypatch):
         calls.append(count)
         return numbers(params, count)
 
-    numbers = coherent._numbers
-    monkeypatch.setattr(coherent, "_numbers", counting)
+    numbers = coherent._stored
+    monkeypatch.setattr(coherent, "_stored", counting)
     overlap(same, long_)
     assert calls == []
     overlap(short, long_)
     assert calls == [long_.dim - 1]
+
+
+def test_continuing_past_a_flagged_number_raises():
+    # q = p = exp(i pi/7): (qp)**7 = 1, so [7] is flagged and stored as 0
+    root = cmath.exp(1j * math.pi / 7)
+    params = DeformationParams(root, root)
+    head = coherent._continued_coeffs([1.0], 7, 0.1, params)
+    assert np.all(head != 0)
+    with pytest.raises(RootOfUnityDegeneracyError) as err:
+        coherent._continued_coeffs(head, 9, 0.1, params)
+    assert err.value.index == 7
 
 
 def test_overlap_requires_matching_parameters():
@@ -165,7 +176,8 @@ def test_annihilator_bound_by_tail():
     s = make_state(z, params)
     ops = build_operators(s.dim, params)
     assert annihilator_residual(s, ops) <= 10.0 * s.tail_bound
-    assert annihilator_edge_defect(s, ops) > 0.0
+    # the truncation edge, which the residual leaves out, is not an eigenvector row
+    assert abs((ops.a @ s.coeffs - s.z * s.coeffs)[s.dim - 1]) > 0.0
 
 
 def test_annihilator_dimension_mismatch():

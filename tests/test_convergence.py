@@ -19,7 +19,6 @@ from qpcoherent import (
     default_parameter_grid,
     proposition1_check,
     proposition2_check,
-    ratio_test,
     ratio_test_logmag,
     regime_report_to_csv,
     regime_report_to_json,
@@ -43,27 +42,30 @@ def test_classify_tolerance_band():
 
 
 def test_ratio_test_factorial_decay():
-    res = ratio_test([1.0 / math.factorial(n) for n in range(130)])
+    res = ratio_test_logmag([math.log(1.0 / math.factorial(n)) for n in range(130)])
     assert res.verdict is RatioVerdict.CONVERGENT
     assert res.estimate < 0.02
 
 
 def test_ratio_test_geometric_growth():
-    res = ratio_test([2.0 ** n for n in range(120)])
+    res = ratio_test_logmag([math.log(2.0 ** n) for n in range(120)])
     assert res.verdict is RatioVerdict.DIVERGENT
     assert res.estimate == pytest.approx(2.0, rel=1e-10)
 
 
 def test_ratio_test_marginal_is_inconclusive():
-    res = ratio_test([1.0 + 0.001 * math.sin(0.9 * n) for n in range(130)])
+    res = ratio_test_logmag([math.log(1.0 + 0.001 * math.sin(0.9 * n))
+                             for n in range(130)])
     assert res.verdict is RatioVerdict.INCONCLUSIVE
 
 
 def test_ratio_test_rejects_degenerate_input():
+    with np.errstate(divide="ignore"):
+        all_zero = np.log(np.zeros(200))   # -inf terms carry no ratio
     with pytest.raises(InvalidParameterError):
-        ratio_test([0.0] * 200)
+        ratio_test_logmag(all_zero)
     with pytest.raises(InvalidParameterError):
-        ratio_test([1.0, 0.5])
+        ratio_test_logmag(np.log([1.0, 0.5]))
 
 
 def test_prop1_divergent_examples():

@@ -75,7 +75,7 @@ def wbar_loop(y, params, ctrl):
     peak = np.full(y.shape, 1.0 / math.pi)
     streak = np.zeros(y.shape, dtype=int)
     iy = 1j * y
-    for n, (value, _) in zip(range(1, ctrl.n_max + 1), iter_numbers(params)):
+    for n, value in zip(range(1, ctrl.n_max + 1), iter_numbers(params)):
         term *= iy * (abs(value) / n)
         total += term
         at = np.abs(term)
@@ -153,8 +153,7 @@ def test_fourier_route_memory_does_not_grow_with_panels():
     xg = np.linspace(0.0, 20.0, 1025, endpoint=False)
     tracemalloc.start()
     try:
-        w = weight_from_fourier(CLASSICAL, 400.0, 1e-4, xg, wbar=closed_wbar,
-                                decay_tol=1.0)
+        w = weight_from_fourier(CLASSICAL, 400.0, 1e-4, xg, wbar=closed_wbar)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

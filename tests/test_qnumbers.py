@@ -23,7 +23,8 @@ from qpcoherent import qnumbers
 from qpcoherent.qnumbers import (
     DEGENERACY_THRESHOLD,
     RESONANCE_RTOL,
-    _numbers,
+    _build,
+    _stored,
     iter_numbers,
     log_abs_numbers,
 )
@@ -148,6 +149,18 @@ def test_sequence_root_of_unity_resonance():
     assert np.all(seq.factorials[2:] == 0)
 
 
+@pytest.mark.parametrize("q, p, n", [
+    (cmath.exp(2j * math.pi / 5), 1.0, 5),   # (qp)**5 = 1 up to rounding
+    (1j, 1j, 2),                             # (qp)**2 = 1 exactly
+])
+def test_number_and_sequence_agree_at_a_flagged_n(q, p, n):
+    params = DeformationParams(q, p)
+    seq = qp_sequence(n, params)
+    assert seq.resonance_index == n
+    got = qp_number(n, params)
+    assert got == 0 and _bits([got]) == _bits([seq.numbers[n]])
+
+
 def test_overflow_is_not_a_resonance():
     # 3**647 overflows: [647] is inf, not a cancellation flagged as 0, so the
     # moments report the factorial overflow at n = 37
@@ -231,7 +244,7 @@ def test_log_abs_numbers_minus_inf_exactly_where_the_builder_flags():
         params = DeformationParams(q, p)
         with np.errstate(divide="ignore"):
             logs = log_abs_numbers(params, 300)
-        assert np.isneginf(logs).tolist() == _numbers(params, 300)[1].tolist(), (q, p)
+        assert np.isneginf(logs).tolist() == _build(params, 300)[1].tolist(), (q, p)
 
 
 def test_log_abs_numbers_exact_resonance_is_minus_inf():
@@ -317,7 +330,7 @@ def test_builder_matches_scalar_loop_bit_for_bit():
     kinds = {"degenerate": 0, "resonant": 0, "overflow": 0}
     for q, p in _builder_points():
         params = DeformationParams(q, p)
-        values, resonant = _numbers(params, 300)
+        values, resonant = _build(params, 300)
         ref = _scalar_numbers(params.q, params.p, 300)
         assert _bits(values) == _bits(v for v, _ in ref), (q, p)
         assert resonant.tolist() == [r for _, r in ref], (q, p)
@@ -346,13 +359,21 @@ def test_sequence_matches_scalar_loop_bit_for_bit():
 
 def test_number_and_iterator_are_views_of_the_builder():
     params = DeformationParams(0.9 * cmath.exp(0.4j), 1.1 * cmath.exp(-1.3j))
-    values, resonant = _numbers(params, 300)
+    values, resonant = _build(params, 300)
+    assert not resonant.any()
     head = list(itertools.islice(iter_numbers(params), 300))
-    assert all(type(v) is complex and type(r) is bool for v, r in head)
-    assert _bits(v for v, _ in head) == _bits(values)
-    assert [r for _, r in head] == resonant.tolist()
+    assert all(type(v) is complex for v in head)
+    assert _bits(head) == _bits(values)
     assert _bits([qp_number(n, params) for n in (1, 64, 65, 300)]) == _bits(
         values[[0, 63, 64, 299]])
+
+
+def test_iterator_yields_zero_where_the_builder_flags():
+    params = DeformationParams(cmath.exp(2j * math.pi / 7), 1.0)
+    values, resonant = _build(params, 300)
+    head = list(itertools.islice(iter_numbers(params), 300))
+    assert [v == 0 for v in head] == resonant.tolist() and resonant.sum() == 42
+    assert _bits(head) == _bits(np.where(resonant, 0, values))
 
 
 def test_iterator_builds_blocks_not_the_cap(monkeypatch):
@@ -360,9 +381,9 @@ def test_iterator_builds_blocks_not_the_cap(monkeypatch):
 
     def recording(params, count):
         counts.append(count)
-        return _numbers(params, count)
+        return _stored(params, count)
 
-    monkeypatch.setattr(qnumbers, "_numbers", recording)
+    monkeypatch.setattr(qnumbers, "_stored", recording)
     head = list(itertools.islice(iter_numbers(QUON), 100))
     assert len(head) == 100 and counts == [64, 128]
 
@@ -428,15 +449,16 @@ def test_store_grows_to_the_bytes_of_a_fresh_build(monkeypatch):
     fresh = {n: qnumbers._full_sequence(params, n) for n in (300, 1000)}
     counts = _counting_builds(monkeypatch)
     for n in (300, 1000, 700):
-        values, resonant = _numbers(params, n)
-        assert values.tobytes() == fresh[1000][0][:n].tobytes()
-        assert resonant.tobytes() == fresh[1000][1][:n].tobytes()
+        entry = _stored(params, n)
+        assert entry.n_max >= n
+        assert [a[:n + 1].tobytes() for a in _arrays(entry)] == [
+            a[:n + 1].tobytes() for a in _arrays(fresh[1000])]
         seq = qp_sequence(n, params)
         assert seq.n_max == n
         assert [a.tobytes() for a in _arrays(seq)] == [
-            a[:n + 1].tobytes() for a in _arrays(fresh[1000][2])]
+            a[:n + 1].tobytes() for a in _arrays(fresh[1000])]
     assert [a.tobytes() for a in _arrays(qp_sequence(300, params))] == [
-        a.tobytes() for a in _arrays(fresh[300][2])]
+        a.tobytes() for a in _arrays(fresh[300])]
     assert counts == [300, 1000]   # grown once, then read
 
 
@@ -458,13 +480,13 @@ def test_store_keys_tell_signed_zero_parts_apart(monkeypatch):
     got = [qp_sequence(40, params) for params in (plus, minus)]
     assert len(store) == 2
     for params, seq in zip((plus, minus), got):
-        assert _bits(seq.numbers) == _bits(qnumbers._full_sequence(params, 40)[2].numbers)
+        assert _bits(seq.numbers) == _bits(qnumbers._full_sequence(params, 40).numbers)
     assert _bits(got[0].numbers) != _bits(got[1].numbers)
 
 
 def test_stored_arrays_are_read_only(monkeypatch):
     _fresh_store(monkeypatch)
-    arrays = [*_numbers(QUON, 50), *_arrays(qp_sequence(50, QUON))]
+    arrays = [*_arrays(_stored(QUON, 50)), *_arrays(qp_sequence(50, QUON))]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -473,14 +495,14 @@ def test_stored_arrays_are_read_only(monkeypatch):
 
 def test_store_memory_stays_bounded(monkeypatch):
     store = _fresh_store(monkeypatch)
-    # 57 bytes a term and object headers, against 23 MB for 400 000 terms
+    # 40 bytes a term and object headers, against 16 MB for 400 000 terms
     bound = qnumbers._STORE_TERMS * 100
     params = DeformationParams(0.7 * cmath.exp(0.3j), cmath.exp(-0.9j))
     qp_sequence(10, params)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert len(_numbers(params, 400_000)[0]) == 400_000
+        assert len(_stored(params, 400_000).numbers) == 400_001
         assert len(qp_sequence(400_000, params).numbers) == 400_001
         for k in range(400):   # more (q, p) than the store keeps
             qp_sequence(100 + k % 50, DeformationParams(0.5 + k * 1e-3, 1.0))
@@ -488,4 +510,4 @@ def test_store_memory_stays_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert retained < bound, retained
-    assert sum(entry[2].n_max for entry in store.values()) <= qnumbers._STORE_TERMS
+    assert sum(entry.n_max for entry in store.values()) <= qnumbers._STORE_TERMS

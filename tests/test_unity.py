@@ -72,6 +72,14 @@ def test_moments_reject_root_of_unity():
         target_moments(DeformationParams(1j, 1j), 8)
 
 
+def test_physical_grid_rejects_a_flagged_number():
+    # q = p = exp(i pi/7): [7] is flagged, before the sum may stop at n = 10
+    root = cmath.exp(1j * math.pi / 7)
+    with pytest.raises(RootOfUnityDegeneracyError) as err:
+        unity._exp2_values(np.array([0.1, 0.5]), DeformationParams(root, root))
+    assert err.value.index == 7
+
+
 # ----------------------------------------------------------------------
 # Wbar series
 
@@ -182,8 +190,9 @@ def test_fourier_accepts_custom_wbar():
 
 def test_fourier_warns_on_non_decaying_window():
     xg = np.linspace(0.0, 2.0, 16, endpoint=False)
-    with pytest.warns(UserWarning, match="window"):
-        weight_from_fourier(QUON, y_cut=8.0, damping=1e-4, x_grid=xg)
+    # reported as a diagnostic, not as a warning (any warning fails a test)
+    w = weight_from_fourier(QUON, y_cut=8.0, damping=1e-4, x_grid=xg)
+    assert w.diagnostics["window_decay"] > 1e-6
 
 
 def test_fourier_cancellation_wall_reported():
@@ -202,8 +211,7 @@ def test_fourier_validates_regularization():
 
 def test_fourier_evaluate_matches_grid():
     xg = np.linspace(0.1, 1.8, 18)
-    w = weight_from_fourier(QUON, y_cut=12.0, damping=8e-3, x_grid=xg,
-                            decay_tol=1.0)
+    w = weight_from_fourier(QUON, y_cut=12.0, damping=8e-3, x_grid=xg)
     np.testing.assert_allclose(w.evaluate(xg), w.grid_w, atol=1e-13)
 
 
@@ -425,8 +433,7 @@ def test_csv_export_columns_and_precision():
 
 def test_csv_export_fourier_has_imag_column():
     xg = np.linspace(0.1, 1.8, 12)
-    w = weight_from_fourier(QUON, y_cut=12.0, damping=8e-3, x_grid=xg,
-                            decay_tol=1.0)
+    w = weight_from_fourier(QUON, y_cut=12.0, damping=8e-3, x_grid=xg)
     buf = io.StringIO()
     weight_to_csv(w, QUON, buf)
     assert buf.getvalue().splitlines()[0] == "x,wtilde,w_physical,wtilde_imag"
