@@ -27,7 +27,7 @@ from .coherent import (
     overlap,
 )
 from .defexp import SeriesControl, convergence_radius, exp1, exp2
-from .errors import InvalidParameterError, LabelOutOfDiskError, QpcError
+from .errors import InvalidParameterError, QpcError
 from .fock import build_operators, relation_residuals
 from .qnumbers import DeformationParams, qp_sequence
 from .unity import (
@@ -221,9 +221,6 @@ def _verify_checks(params: DeformationParams, dim: int, degree: int) -> list[dic
         return checks
 
     radius = convergence_radius(params)
-    if radius == 0.0:
-        # q p = 1 with |q| < 1: no label exists, so no check can run
-        raise LabelOutOfDiskError("|z|^2 = 0 >= convergence radius 0")
     span = radius if math.isfinite(radius) else 4.0
 
     @functools.cache   # label states share a few dimensions

@@ -39,7 +39,6 @@ class CoherentState:
     z: complex
     params: DeformationParams
     coeffs: np.ndarray
-    normalized: bool
     norm_const: float
     tail_bound: float
 
@@ -48,25 +47,10 @@ class CoherentState:
         return len(self.coeffs)
 
 
-def _norm_series(z: complex, params: DeformationParams):
-    ev = exp2(abs(z) ** 2, params, _STATE_CONTROL)
-    if ev.verdict is Verdict.DIVERGENT_INPUT:
-        raise LabelOutOfDiskError(
-            f"|z|^2 = {abs(z)**2:.6g} is not inside the convergence disk "
-            f"(radius {convergence_radius(params):.6g})"
-        )
-    if ev.verdict is Verdict.TRUNCATED:
-        raise SeriesDivergenceError(
-            "normalization series did not converge within the term cap"
-        )
-    return ev
-
-
 def make_state(
     z: complex,
     params: DeformationParams,
     dim: int | None = None,
-    normalize: bool = True,
 ) -> CoherentState:
     """Construct the state with label z on a truncated number basis.
 
@@ -80,33 +64,23 @@ def make_state(
         raise LabelOutOfDiskError(
             f"|z|^2 = {abs(z)**2:.6g} >= convergence radius {radius:.6g}"
         )
-    ev = _norm_series(z, params)
+    ev = exp2(abs(z) ** 2, params, _STATE_CONTROL)   # inside the disk
+    if ev.verdict is Verdict.TRUNCATED:
+        raise SeriesDivergenceError(
+            "normalization series did not converge within the term cap"
+        )
     if dim is None:
         dim = ev.terms_used + 1
     elif dim < 1:
         raise InvalidParameterError("dim must be positive")
 
-    scale = 1.0 / math.sqrt(ev.value.real) if normalize else 1.0
-    coeffs = _continued_coeffs([scale], dim, z, params)
+    norm_const = 1.0 / math.sqrt(ev.value.real)
+    coeffs = _continued_coeffs([norm_const], dim, z, params)
     coeffs.flags.writeable = False
-
-    if normalize:
-        captured = float(np.sum(np.abs(coeffs) ** 2))
-        tail = max(abs(1.0 - captured), ev.tail_bound / ev.value.real, _TAIL_FLOOR)
-        norm_const = scale
-    else:
-        tail = max(ev.tail_bound, _TAIL_FLOOR)
-        norm_const = 1.0
+    captured = float(np.sum(np.abs(coeffs) ** 2))
+    tail = max(abs(1.0 - captured), ev.tail_bound / ev.value.real, _TAIL_FLOOR)
     return CoherentState(z=z, params=params, coeffs=coeffs,
-                         normalized=normalize, norm_const=norm_const,
-                         tail_bound=tail)
-
-
-def _check_pair(s1: CoherentState, s2: CoherentState) -> None:
-    if s1.params.q != s2.params.q or s1.params.p != s2.params.p:
-        raise ParameterMismatchError("states carry different deformation parameters")
-    if not (s1.normalized and s2.normalized):
-        raise InvalidParameterError("overlap is defined for normalized states")
+                         norm_const=norm_const, tail_bound=tail)
 
 
 def _continued_coeffs(head, length: int, z: complex,
@@ -138,7 +112,8 @@ def overlap(s1: CoherentState, s2: CoherentState) -> complex:
     and the two must agree within ten times the combined tails; disagreement
     raises OverlapInconsistencyError.
     """
-    _check_pair(s1, s2)
+    if s1.params.q != s2.params.q or s1.params.p != s2.params.p:
+        raise ParameterMismatchError("states carry different deformation parameters")
     m = max(s1.dim, s2.dim)
     c1, c2 = (_continued_coeffs(s.coeffs, m, s.z, s.params) for s in (s1, s2))
     ip = complex(np.vdot(c1, c2))

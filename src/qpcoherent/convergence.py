@@ -177,13 +177,13 @@ def _exp_log_terms(cum: np.ndarray, xs: Sequence[float]) -> np.ndarray:
 # proposition checks
 
 
-def proposition1_check(Q: complex, y_samples: Sequence[float], *,
-                       n_terms: int = 400, window: int = 100) -> list[Prop1Row]:
+def proposition1_check(Q: complex, y_samples: Sequence[float]) -> list[Prop1Row]:
     """Wbar ratio tests for the symmetric one-parameter deformation.
 
     Expected behavior: Divergent for |Q| != 1, Convergent on the unit circle
     away from roots of unity. Root-of-unity resonances are skipped with a
-    notation instead of producing a misleading verdict.
+    notation instead of producing a misleading verdict. Each test reads 400
+    terms and the last 100 ratios.
     """
     Q = complex(Q)
     if Q == 0 or Q == 1 or Q == -1:
@@ -192,13 +192,13 @@ def proposition1_check(Q: complex, y_samples: Sequence[float], *,
     on_circle = abs(abs(Q) - 1.0) <= MODULUS_TOL
     expected = RatioVerdict.CONVERGENT if on_circle else RatioVerdict.DIVERGENT
     ys = [float(y) for y in y_samples]
-    logs = log_abs_numbers(params, n_terms)
+    logs = log_abs_numbers(params, 400)
     if np.isneginf(logs).any():   # a flagged (vanishing) [n]
         return [Prop1Row(Q=Q, y=y, verdict=None, estimate=math.nan,
                          expected=expected, consistent=True,
                          skipped="root-of-unity degeneracy") for y in ys]
     results = _ratio_kernel(
-        _wbar_log_terms(np.cumsum(logs), ys, _log_factorials(n_terms)), window)
+        _wbar_log_terms(np.cumsum(logs), ys, _log_factorials(400)), 100)
     return [Prop1Row(Q=Q, y=y, verdict=res.verdict, estimate=res.estimate,
                      expected=expected, consistent=res.verdict is expected)
             for y, res in zip(ys, results)]
@@ -213,27 +213,26 @@ def _worst(verdicts: list[RatioVerdict]) -> RatioVerdict:
 
 
 def proposition2_check(grid: Sequence[DeformationParams],
-                       y_samples: Sequence[float] = (0.5, 1.0, 2.0),
-                       x_fractions: Sequence[float] = (0.5,), *,
-                       n_terms: int = 300, window: int = DEFAULT_WINDOW
+                       y_samples: Sequence[float] = (0.5, 1.0, 2.0)
                        ) -> list[RegimeVerdict]:
     """Classify every grid point and ratio-test all three series there.
 
-    exp series are sampled at x = fraction * R inside the nominal disk (a
-    fixed x = 5 * fraction stands in when R is infinite or zero). A
+    Each test reads 300 terms and the last DEFAULT_WINDOW ratios. The exp
+    series are sampled at x = R/2 inside the nominal disk (a fixed x = 2.5
+    stands in when R is infinite or zero). A
     contradiction is a regime-(i)/(ii) point with a Divergent series, or an
     outside point where no series diverges; Inconclusive rows are flagged
     through the boundary margin instead.
     """
     if not grid:
         raise InvalidParameterError("grid must be nonempty")
-    lgam = _log_factorials(n_terms)
+    lgam = _log_factorials(300)
     rows = []
     for params in grid:
         regime = classify_regime(params)
         radius = convergence_radius(params)
         note = ""
-        logs = log_abs_numbers(params, n_terms)
+        logs = log_abs_numbers(params, 300)
         if np.isneginf(logs).any():   # a flagged (vanishing) [n]
             rows.append(RegimeVerdict(
                 params=params, regime=regime, v_exp1=None, v_exp2=None,
@@ -242,16 +241,13 @@ def proposition2_check(grid: Sequence[DeformationParams],
                 contradiction=False, note="root-of-unity degeneracy; skipped"))
             continue
 
-        xs = [frac * radius if 0 < radius < math.inf else 5.0 * frac
-              for frac in x_fractions]
+        x = 0.5 * radius if 0 < radius < math.inf else 2.5
         cum = np.cumsum(logs)
-        results = _ratio_kernel(np.vstack([
-            _exp_log_terms(cum, xs), _wbar_log_terms(cum, y_samples, lgam)]),
-            window)
-        exp_res, wbar_res = results[:len(xs)], results[len(xs):]
-        v_exp = _worst([r.verdict for r in exp_res])
+        exp_res, *wbar_res = _ratio_kernel(np.vstack([
+            _exp_log_terms(cum, [x]), _wbar_log_terms(cum, y_samples, lgam)]),
+            DEFAULT_WINDOW)
+        v_exp = exp_res.verdict
         v_wbar = _worst([r.verdict for r in wbar_res])
-        exp_estimate = max(r.estimate for r in exp_res)
 
         if regime in (Regime.REGIME_I, Regime.REGIME_II):
             contradiction = (v_exp is RatioVerdict.DIVERGENT or
@@ -266,11 +262,11 @@ def proposition2_check(grid: Sequence[DeformationParams],
         rows.append(RegimeVerdict(
             params=params, regime=regime, v_exp1=v_exp, v_exp2=v_exp,
             v_wbar=v_wbar,
-            estimates=(exp_estimate, exp_estimate,
+            estimates=(exp_res.estimate, exp_res.estimate,
                        max(r.estimate for r in wbar_res)),
             boundary_margin=boundary_margin(params),
             contradiction=contradiction, note=note,
-            evidence={"exp_ratio_tail": exp_res[-1].tail_samples,
+            evidence={"exp_ratio_tail": exp_res.tail_samples,
                       "wbar_ratio_tail": wbar_res[-1].tail_samples}))
     return rows
 

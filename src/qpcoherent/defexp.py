@@ -13,16 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    ParameterMismatchError,
-    RootOfUnityDegeneracyError,
-)
-from .qnumbers import DeformationParams, QNumberSequence, _moduli, _stored
+from .errors import InvalidParameterError, RootOfUnityDegeneracyError
+from .qnumbers import DeformationParams, _moduli, _stored
 
 
 class Verdict(Enum):
@@ -86,14 +81,7 @@ def _sum_series(
     params: DeformationParams,
     ctrl: SeriesControl,
     use_abs: bool,
-    seq: Optional[QNumberSequence],
 ) -> SeriesEvaluation:
-    n_max = ctrl.n_max
-    if seq is not None:
-        if seq.params is None or (seq.params.q, seq.params.p) != (params.q, params.p):
-            raise ParameterMismatchError("sequence was built from different parameters")
-        n_max = min(n_max, seq.n_max)
-
     radius = convergence_radius(params)
     ax = abs(x)
     if ax >= radius and ax > 0:
@@ -113,8 +101,8 @@ def _sum_series(
     total = term = np.clongdouble(1.0)
     tail, n = math.inf, 0
     with np.errstate(all="ignore"):
-        while n < n_max:
-            end = min(n + rows, n_max)
+        while n < ctrl.n_max:
+            end = min(n + rows, ctrl.n_max)
             values = _stored(params, end).numbers[n + 1:end + 1]
             zero = values == 0   # a flagged [n]
             count = int(zero.argmax()) if zero.any() else len(values)
@@ -146,25 +134,20 @@ def exp1(
     x: complex,
     params: DeformationParams,
     ctrl: SeriesControl = DEFAULT_CONTROL,
-    *,
-    seq: Optional[QNumberSequence] = None,
 ) -> SeriesEvaluation:
     """Evaluate sum x**n / [n]! with tail control.
 
     Inputs on or beyond the convergence disk return a DivergentInput verdict
     rather than raising; a vanishing [n] below the truncation raises
-    RootOfUnityDegeneracyError. A QNumberSequence passed as ``seq`` must carry
-    the same (q, p); it caps the terms at its ``n_max``.
+    RootOfUnityDegeneracyError.
     """
-    return _sum_series(complex(x), params, ctrl, use_abs=False, seq=seq)
+    return _sum_series(complex(x), params, ctrl, use_abs=False)
 
 
 def exp2(
     x: complex,
     params: DeformationParams,
     ctrl: SeriesControl = DEFAULT_CONTROL,
-    *,
-    seq: Optional[QNumberSequence] = None,
 ) -> SeriesEvaluation:
     """Evaluate sum x**n / |[n]|!.
 
@@ -172,4 +155,4 @@ def exp2(
     and partial sums are monotone. Complex arguments are accepted with the
     identical contract; they arise in overlaps through conj(z) * z'.
     """
-    return _sum_series(complex(x), params, ctrl, use_abs=True, seq=seq)
+    return _sum_series(complex(x), params, ctrl, use_abs=True)

@@ -14,12 +14,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, ParameterMismatchError
+from .errors import InvalidParameterError
 from .qnumbers import (
     DeformationParams,
     QNumberSequence,
-    _moduli,
     _running_products,
+    _sequence,
     qp_sequence,
 )
 
@@ -91,7 +91,8 @@ def custom_basket_operators(dim: int, basket: Sequence[complex],
 
     ``basket[0]`` must be 0. ``q`` only enters the delta_prime diagonal; with
     length exactly ``dim`` the last delta_prime entry is NaN (it would need
-    basket[dim], which is outside the truncation anyway).
+    basket[dim], which is outside the truncation anyway). A later zero entry
+    is the sequence's ``resonance_index``; ``p_pow_neg_N`` is None.
     """
     basket = np.asarray(basket, dtype=complex)
     if dim < 2:
@@ -100,13 +101,7 @@ def custom_basket_operators(dim: int, basket: Sequence[complex],
         raise InvalidParameterError(f"basket must supply at least {dim} entries")
     if basket[0] != 0:
         raise InvalidParameterError("basket[0] must be 0")
-    n_max = min(len(basket) - 1, dim)
-    numbers = basket[: n_max + 1].copy()
-    factorials = _running_products(numbers[1:])
-    abs_factorials = _running_products(_moduli(numbers[1:]))
-    _freeze(numbers, factorials, abs_factorials)
-    seq = QNumberSequence(params=None, n_max=n_max, numbers=numbers,
-                          factorials=factorials, abs_factorials=abs_factorials)
+    seq = _sequence(None, basket[:dim + 1].copy())
     return _assemble(dim, seq, complex(q), None, None)
 
 
@@ -114,8 +109,7 @@ def _block_max(matrix: np.ndarray, k: int) -> float:
     return float(np.max(np.abs(matrix[:k, :k])))
 
 
-def relation_residuals(ops: FockOperators,
-                       params: Optional[DeformationParams] = None) -> RelationReport:
+def relation_residuals(ops: FockOperators) -> RelationReport:
     """Audit the deformed commutation relations numerically.
 
     Residuals are max-norms over the leading (dim-1) x (dim-1) block of
@@ -126,21 +120,17 @@ def relation_residuals(ops: FockOperators,
         delta a+ - q a+ delta      = a+ delta_prime
         a a+ - q a+ a              = p**(-N)
 
-    The last one needs deformation parameters; without them it is NaN.
+    The last one reads ``p_pow_neg_N``; for a custom basket it is NaN.
     """
-    params = params if params is not None else ops.params
-    if params is not None and ops.params is not None:
-        if params.q != ops.params.q or params.p != ops.params.p:
-            raise ParameterMismatchError("operators were built from different parameters")
     q = ops.q
     a, ad, d, dp = ops.a, ops.a_dag, ops.delta, ops.delta_prime
     k = ops.dim - 1
-    r1 = _block_max(a @ ad - q * (ad @ a) - dp, k)
+    qmutator = a @ ad - q * (ad @ a)
+    r1 = _block_max(qmutator - dp, k)
     r2 = _block_max(a @ d - q * (d @ a) - dp @ a, k)
     r3 = _block_max(d @ ad - q * (ad @ d) - ad @ dp, k)
-    if params is not None:
-        p_pow = np.diag(_running_products(np.full(ops.dim - 1, params.p_inv)))
-        r4 = _block_max(a @ ad - params.q * (ad @ a) - p_pow, k)
+    if ops.p_pow_neg_N is not None:
+        r4 = _block_max(qmutator - ops.p_pow_neg_N, k)
     else:
         r4 = float("nan")
     return RelationReport(r1, r2, r3, r4, block_dim=k)

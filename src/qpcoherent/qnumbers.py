@@ -140,20 +140,28 @@ def _build(params: DeformationParams, count: int
 
 
 def _full_sequence(params: DeformationParams, count: int) -> QNumberSequence:
-    """The sequence of n_max = count, read-only; ``_build``'s flagged [n] are 0.
+    """The sequence of n_max = count; ``_build``'s flagged [n] are stored as 0.
 
     ``_build`` flags every exact zero, so ``numbers[1:] == 0`` holds exactly
     at the flagged n: readers that divide by [n] test for a zero."""
     values, resonant = _build(params, count)
-    numbers = np.concatenate([np.zeros(1, complex), np.where(resonant, 0, values)])
+    return _sequence(params, np.concatenate(
+        [np.zeros(1, complex), np.where(resonant, 0, values)]))
+
+
+def _sequence(params: Optional[DeformationParams],
+              numbers: np.ndarray) -> QNumberSequence:
+    """[n]! and |[n]|! of ``numbers`` (entry 0 is [0] = 0), read-only; a zero
+    in ``numbers[1:]`` is the resonance index."""
     with np.errstate(over="ignore", invalid="ignore"):
         factorials = _running_products(numbers[1:])
         abs_factorials = _running_products(_moduli(numbers[1:]))
     overflow = ~(np.isfinite(factorials) & np.isfinite(abs_factorials))
+    resonant = numbers[1:] == 0
     for arr in (numbers, factorials, abs_factorials):
         arr.flags.writeable = False
     return QNumberSequence(
-        params, count, numbers, factorials, abs_factorials,
+        params, len(numbers) - 1, numbers, factorials, abs_factorials,
         int(np.argmax(overflow)) if overflow.any() else None,
         int(np.argmax(resonant)) + 1 if resonant.any() else None)
 

@@ -170,19 +170,19 @@ def target_moments(params: DeformationParams, n_max: int) -> MomentSet:
                      support=(0.0, convergence_radius(params)))
 
 
-def wbar_series(y: float, params: DeformationParams,
-                ctrl: SeriesControl = WBAR_CONTROL) -> SeriesEvaluation:
+def wbar_series(y: float, params: DeformationParams) -> SeriesEvaluation:
     """Evaluate Wbar(y) = sum |[n]|! (iy)**n / (pi n!): ``_wbar_values`` at one y.
 
     ``terms_used`` is the index of the term where the sum stopped, and
     ``tail_bound`` is the stop rule's own budget, ``tol * max(|value|, 1)``,
     that the last terms were tested against; it is not a proven bound on
     the remainder. Growing terms, cancellation noise and the term cap raise
-    SeriesDivergenceError, so the verdict is always Converged.
+    SeriesDivergenceError, so the verdict is always Converged; a flagged [n]
+    at or before the stop raises RootOfUnityDegeneracyError.
     """
-    values, terms = _wbar_values(np.array([float(y)]), params, ctrl)
+    values, terms = _wbar_values(np.array([float(y)]), params)
     value = complex(values[0])
-    return SeriesEvaluation(value, terms, ctrl.tol * max(abs(value), 1.0),
+    return SeriesEvaluation(value, terms, WBAR_CONTROL.tol * max(abs(value), 1.0),
                             Verdict.CONVERGED)
 
 
@@ -201,7 +201,8 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
     and sum in the order of a term-by-term loop, and the stop and error tests
     run per row, so the result does not depend on the block depth. The sum
     stops at the first term n >= min_terms where every ordinate has seen two
-    terms in a row below ``tol * max(|total|, 1)``; that n is returned.
+    terms in a row below ``tol * max(|total|, 1)``; that n is returned. A
+    flagged [n] at or before that term raises RootOfUnityDegeneracyError.
     """
     y = np.asarray(y, dtype=float)
     iy = 1j * y
@@ -225,6 +226,9 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
             stop[:max(ctrl.min_terms - n - 1, 0)] = False
             diverged = np.max(at, axis=1) > 1e140
             hit = np.flatnonzero(stop | diverged)
+            zero = np.flatnonzero(moduli == 0)   # a flagged [n]
+            if zero.size and (not hit.size or zero[0] <= hit[0]):
+                raise RootOfUnityDegeneracyError(n + int(zero[0]) + 1)
             if hit.size:
                 r = int(hit[0])
                 if diverged[r]:

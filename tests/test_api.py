@@ -3,10 +3,14 @@
 ``bench/tracing.py`` wraps the functions its SPANS table lists by module and
 name, and a run fails at ``Tracer.install`` when one is gone. The table is
 read from the file's syntax tree, so the benchmark package is not imported.
+The signature of every exported name is pinned, so a change to the public
+API has to edit ``SIGNATURES``.
 """
 
 import ast
+import enum
 import importlib
+import inspect
 from pathlib import Path
 
 import qpcoherent
@@ -34,3 +38,79 @@ def test_traced_functions_exist():
 def test_exported_names_resolve():
     assert [name for name in qpcoherent.__all__
             if not hasattr(qpcoherent, name)] == []
+
+
+#: str(inspect.signature) of each name in ``__all__``, in order; an enum by its
+#: values, and an exception class that keeps Exception's constructor as (*args)
+SIGNATURES = {
+    'Basis': 'ShiftedLegendre|GeneralizedLaguerre',
+    'CoherentState': "(z: 'complex', params: 'DeformationParams', coeffs: 'np.ndarray', norm_const: 'float', tail_bound: 'float') -> None",
+    'DeformationParams': "(q: 'complex', p: 'complex') -> None",
+    'FockOperators': "(dim: 'int', a: 'np.ndarray', a_dag: 'np.ndarray', delta: 'np.ndarray', delta_prime: 'np.ndarray', p_pow_neg_N: 'Optional[np.ndarray]', basket: 'QNumberSequence', q: 'complex', params: 'Optional[DeformationParams]' = None) -> None",
+    'IllConditionedError': '(*args)',
+    'InvalidParameterError': '(*args)',
+    'LabelOutOfDiskError': '(*args)',
+    'Method': 'MomentReconstruction|FourierInversion',
+    'MomentSet': "(params: 'DeformationParams', n_max: 'int', moments: 'np.ndarray', support: 'tuple[float, float]') -> None",
+    'OverlapInconsistencyError': '(*args)',
+    'ParameterMismatchError': '(*args)',
+    'Prop1Row': "(Q: 'complex', y: 'float', verdict: 'Optional[RatioVerdict]', estimate: 'float', expected: 'RatioVerdict', consistent: 'bool', skipped: 'Optional[str]' = None) -> None",
+    'QNumberSequence': "(params: 'Optional[DeformationParams]', n_max: 'int', numbers: 'np.ndarray', factorials: 'np.ndarray', abs_factorials: 'np.ndarray', overflow_index: 'Optional[int]' = None, resonance_index: 'Optional[int]' = None) -> None",
+    'QpcError': '(*args)',
+    'QuadratureError': '(*args)',
+    'RatioTestResult': "(verdict: 'RatioVerdict', estimate: 'float', sigma: 'float', n_ratios: 'int', tail_samples: 'tuple[float, ...]' = ()) -> None",
+    'RatioVerdict': 'Convergent|Divergent|Inconclusive',
+    'Regime': 'RegimeI|RegimeII|Degenerate|Outside',
+    'RegimeVerdict': "(params: 'DeformationParams', regime: 'Regime', v_exp1: 'Optional[RatioVerdict]', v_exp2: 'Optional[RatioVerdict]', v_wbar: 'Optional[RatioVerdict]', estimates: 'tuple[float, float, float]', boundary_margin: 'float', contradiction: 'bool', note: 'str' = '', evidence: 'dict' = None) -> None",
+    'RelationReport': "(residual_qmutation: 'float', residual_delta_comm: 'float', residual_adag_comm: 'float', residual_qp: 'float', block_dim: 'int') -> None",
+    'RootOfUnityDegeneracyError': '(index: int, message: str | None = None)',
+    'SeriesControl': "(n_max: 'int' = 500, tol: 'float' = 1e-12, min_terms: 'int' = 10) -> None",
+    'SeriesDivergenceError': '(*args)',
+    'SeriesEvaluation': "(value: 'complex', terms_used: 'int', tail_bound: 'float', verdict: 'Verdict') -> None",
+    'Verdict': 'Converged|Truncated|DivergentInput',
+    'WeightFunction': "(support: 'tuple[float, float]', basis: 'Optional[Basis]', coeffs: 'Optional[np.ndarray]', grid_x: 'np.ndarray', grid_w: 'np.ndarray', min_value: 'float', method: 'Method', diagnostics: 'dict' = <factory>, _fourier_nodes: 'Optional[np.ndarray]' = None, _fourier_weights: 'Optional[np.ndarray]' = None) -> None",
+    'annihilator_residual': "(state: 'CoherentState', ops: 'FockOperators') -> 'float'",
+    'boundary_margin': "(params: 'DeformationParams') -> 'float'",
+    'build_operators': "(dim: 'int', params: 'DeformationParams') -> 'FockOperators'",
+    'classify_regime': "(params: 'DeformationParams') -> 'Regime'",
+    'convergence_radius': "(params: 'DeformationParams') -> 'float'",
+    'custom_basket_operators': "(dim: 'int', basket: 'Sequence[complex]', q: 'complex') -> 'FockOperators'",
+    'default_parameter_grid': "() -> 'list[DeformationParams]'",
+    'exp1': "(x: 'complex', params: 'DeformationParams', ctrl: 'SeriesControl' = SeriesControl(n_max=500, tol=1e-12, min_terms=10)) -> 'SeriesEvaluation'",
+    'exp2': "(x: 'complex', params: 'DeformationParams', ctrl: 'SeriesControl' = SeriesControl(n_max=500, tol=1e-12, min_terms=10)) -> 'SeriesEvaluation'",
+    'identity_matrix_2d': "(weight: 'WeightFunction', params: 'DeformationParams', dim: 'int') -> 'np.ndarray'",
+    'label_distance_sq': "(s1: 'CoherentState', s2: 'CoherentState') -> 'float'",
+    'make_state': "(z: 'complex', params: 'DeformationParams', dim: 'int | None' = None) -> 'CoherentState'",
+    'moment_ratios': "(weight: 'WeightFunction', params: 'DeformationParams', dim: 'int') -> 'tuple[np.ndarray, int]'",
+    'overlap': "(s1: 'CoherentState', s2: 'CoherentState') -> 'complex'",
+    'physical_weight': "(wtilde: 'WeightFunction', params: 'DeformationParams') -> 'WeightFunction'",
+    'proposition1_check': "(Q: 'complex', y_samples: 'Sequence[float]') -> 'list[Prop1Row]'",
+    'proposition2_check': "(grid: 'Sequence[DeformationParams]', y_samples: 'Sequence[float]' = (0.5, 1.0, 2.0)) -> 'list[RegimeVerdict]'",
+    'qp_number': "(n: 'int', params: 'DeformationParams') -> 'complex'",
+    'qp_sequence': "(n_max: 'int', params: 'DeformationParams') -> 'QNumberSequence'",
+    'ratio_test_logmag': "(log_terms: 'np.ndarray', window: 'int' = 50) -> 'RatioTestResult'",
+    'regime_report_to_csv': "(rows: 'Sequence[RegimeVerdict]', file_or_path) -> 'None'",
+    'regime_report_to_json': "(rows: 'Sequence[RegimeVerdict]', file_or_path) -> 'None'",
+    'relation_residuals': "(ops: 'FockOperators') -> 'RelationReport'",
+    'resolution_residual': "(weight: 'WeightFunction', params: 'DeformationParams', dim: 'int') -> 'float'",
+    'target_moments': "(params: 'DeformationParams', n_max: 'int') -> 'MomentSet'",
+    'wbar_series': "(y: 'float', params: 'DeformationParams') -> 'SeriesEvaluation'",
+    'weight_from_fourier': "(params: 'DeformationParams', y_cut: 'float', damping: 'float', x_grid: 'np.ndarray | None' = None, *, wbar: 'Optional[Callable[[np.ndarray], np.ndarray]]' = None) -> 'WeightFunction'",
+    'weight_from_moments': "(moments: 'MomentSet', degree: 'int', *, grid_points: 'int' = 801, x_max: 'float | None' = None) -> 'WeightFunction'",
+    'weight_to_csv': "(weight: 'WeightFunction', params: 'DeformationParams', file_or_path) -> 'None'",
+    'weight_to_json': "(weight: 'WeightFunction', file_or_path) -> 'None'",
+}
+
+
+def _signature(obj):
+    if isinstance(obj, enum.EnumMeta):
+        return "|".join(member.value for member in obj)
+    if isinstance(obj, type) and issubclass(obj, Exception) and "__init__" not in vars(obj):
+        return "(*args)"
+    return str(inspect.signature(obj))
+
+
+def test_public_signatures_are_pinned():
+    got = {name: _signature(getattr(qpcoherent, name)) for name in qpcoherent.__all__}
+    assert list(got) == list(SIGNATURES)
+    assert got == SIGNATURES

@@ -167,11 +167,33 @@ def test_exp_zero_radius(tmp_path):
     assert float(parse_csv(text)[0]["value_re"]) == 1.0
 
 
-def test_verify_zero_radius_is_error(capsys):
-    code = main(["verify", "--q", "0.5", "--p", "2"])
+def test_verify_zero_radius_is_error(tmp_path, capsys):
+    # q p = 1 with |q| < 1: no label lies in the empty disk and no weight
+    # exists, so those checks fail as rows; the Fock relations still hold
+    code, text = run_cli(["verify", "--q", "0.5", "--p", "2"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    rows = parse_csv(text)
+    assert [(r["check"], r["passed"]) for r in rows] == [
+        ("regime", "true"), ("fock_relations", "true"),
+        ("normalization", "false"), ("annihilator", "false"),
+        ("continuity", "false"), ("overlap_consistency", "false"),
+        ("moment_residuals", "false"), ("resolution_residual", "false")]
+    assert rows[0]["note"] == "Degenerate"
+    assert all(r["note"].startswith("LabelOutOfDiskError: ") for r in rows[2:6])
+    assert all(r["note"].startswith("SeriesDivergenceError: convergence radius is 0")
+               for r in rows[6:])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_weight_fourier_at_a_root_of_unity_is_error(tmp_path, capsys, fmt):
+    # (q p)**2 = 1, so [2] vanishes and no Wbar series exists
+    code, text = run_cli(["weight", "--q", "1j", "--p", "1j", "--method", "fourier",
+                          "--ycut", "10", "--damping", "1e-2", "--grid-points", "5",
+                          "--format", fmt], tmp_path)
     assert code == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "convergence radius 0" in err[0]
+    assert err == ["error: deformed number [2] vanishes; division by [2]! undefined"]
 
 
 def test_verify_classical_passes(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import assume, given, strategies as st
 
 from qpcoherent import (
     DeformationParams,
-    InvalidParameterError,
     LabelOutOfDiskError,
     ParameterMismatchError,
     RootOfUnityDegeneracyError,
@@ -55,10 +54,10 @@ def test_quon_state_is_normalized():
 
 
 def test_unnormalized_coefficients():
-    s = make_state(0.5, QUON, dim=6, normalize=False)
-    assert s.norm_const == 1.0
-    assert s.coeffs[0] == 1.0
-    assert s.coeffs[2] == pytest.approx(0.25 / math.sqrt(1.5), abs=1e-14)
+    # c_n / c_0 = z**n / sqrt([n]!): [2]! = 1.5 at q = 0.5, p = 1
+    s = make_state(0.5, QUON, dim=6)
+    assert s.coeffs[0] == s.norm_const
+    assert s.coeffs[2] / s.coeffs[0] == pytest.approx(0.25 / math.sqrt(1.5), abs=1e-14)
 
 
 def test_label_outside_disk_rejected():
@@ -119,13 +118,6 @@ def test_continuing_past_a_flagged_number_raises():
 def test_overlap_requires_matching_parameters():
     with pytest.raises(ParameterMismatchError):
         overlap(make_state(0.2, QUON), make_state(0.2, CLASSICAL))
-
-
-def test_overlap_requires_normalized_states():
-    s1 = make_state(0.2, QUON, dim=8, normalize=False)
-    s2 = make_state(0.3, QUON)
-    with pytest.raises(InvalidParameterError):
-        overlap(s1, s2)
 
 
 def test_label_distance_classical_value():

@@ -257,7 +257,7 @@ def _ref_exp_test(params, x, count, window):
     return ratio_test_logmag(np.concatenate([[0.0], logs]), window)
 
 
-def _ref_prop2(grid, ys, fracs, n_terms=300, window=50):
+def _ref_prop2(grid, ys, n_terms=300, window=50):
     rows = []
     for params in grid:
         regime = classify_regime(params)
@@ -269,10 +269,10 @@ def _ref_prop2(grid, ys, fracs, n_terms=300, window=50):
                 contradiction=False, note="root-of-unity degeneracy; skipped"))
             continue
         radius = convergence_radius(params)
-        exp = [_ref_exp_test(params, f * radius if 0 < radius < math.inf
-                             else 5.0 * f, n_terms, window) for f in fracs]
+        exp = _ref_exp_test(params, 0.5 * radius if 0 < radius < math.inf
+                            else 2.5, n_terms, window)
         wbar = [_ref_wbar_test(params, y, n_terms, window) for y in ys]
-        v_exp = _worst([r.verdict for r in exp])
+        v_exp = exp.verdict
         v_wbar = _worst([r.verdict for r in wbar])
         divergent = RatioVerdict.DIVERGENT in (v_exp, v_wbar)
         contradiction, note = divergent, ""
@@ -281,13 +281,12 @@ def _ref_prop2(grid, ys, fracs, n_terms=300, window=50):
         elif regime is Regime.DEGENERATE:
             contradiction = False
             note = "degenerate branch; not covered by the regime dichotomy"
-        e_exp = max(r.estimate for r in exp)
         rows.append(RegimeVerdict(
             params=params, regime=regime, v_exp1=v_exp, v_exp2=v_exp,
             v_wbar=v_wbar,
-            estimates=(e_exp, e_exp, max(r.estimate for r in wbar)),
+            estimates=(exp.estimate, exp.estimate, max(r.estimate for r in wbar)),
             boundary_margin=margin, contradiction=contradiction, note=note,
-            evidence={"exp_ratio_tail": exp[-1].tail_samples,
+            evidence={"exp_ratio_tail": exp.tail_samples,
                       "wbar_ratio_tail": wbar[-1].tail_samples}))
     return rows
 
@@ -314,15 +313,15 @@ def _seeded_grid(seed, size=40):
 def test_prop2_matches_scalar_reference_on_default_grid():
     grid = default_parameter_grid()
     got = proposition2_check(grid)
-    assert repr(got) == repr(_ref_prop2(grid, (0.5, 1.0, 2.0), (0.5,)))
+    assert repr(got) == repr(_ref_prop2(grid, (0.5, 1.0, 2.0)))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_prop2_matches_scalar_reference_on_seeded_grid(seed):
     grid = _seeded_grid(seed)
-    ys, fracs = (0.25, 1.5, 3.0), (0.2, 0.5, 0.9)
-    got = proposition2_check(grid, ys, fracs)
-    assert repr(got) == repr(_ref_prop2(grid, ys, fracs))
+    ys = (0.25, 1.5, 3.0)
+    got = proposition2_check(grid, ys)
+    assert repr(got) == repr(_ref_prop2(grid, ys))
     assert any(r.regime is Regime.DEGENERATE for r in got)
     assert any("root-of-unity" in r.note for r in got)
     assert any(abs(r.params.q * r.params.p) > 1 and r.v_wbar is not None

@@ -10,12 +10,10 @@ from hypothesis import assume, given, strategies as st
 from qpcoherent import (
     DeformationParams,
     InvalidParameterError,
-    ParameterMismatchError,
     RootOfUnityDegeneracyError,
     SeriesControl,
     Verdict,
     convergence_radius,
-    custom_basket_operators,
     exp1,
     exp2,
     qp_sequence,
@@ -140,11 +138,9 @@ def test_root_of_unity_degeneracy_raises():
     assert err.value.index == 8
 
 
-def test_shared_sequence_gives_identical_values():
-    seq = qp_sequence(500, QUON)
-    a = exp1(0.9, QUON)
-    b = exp1(0.9, QUON, seq=seq)
-    assert a.value == b.value and a.terms_used == b.terms_used
+def test_term_cap_truncates():
+    ev = exp1(0.9, QUON, SeriesControl(n_max=5, min_terms=5))
+    assert ev.verdict is Verdict.TRUNCATED and ev.terms_used == 5
 
 
 def test_verdict_flips_across_radius():
@@ -183,36 +179,13 @@ def test_exp2_dominates_exp1(frac, phase):
     assert abs(e1.value) <= e2.value.real * (1 + 1e-12) + 1e-12
 
 
-def test_shared_sequence_must_carry_the_same_parameters():
-    # e**0.5 would come back as Converged if the classical sequence were used
-    classical_seq = qp_sequence(50, CLASSICAL)
-    with pytest.raises(ParameterMismatchError):
-        exp1(0.5, QUON, seq=classical_seq)
-    with pytest.raises(ParameterMismatchError):
-        exp2(0.5, QUON, seq=classical_seq)
-    basket_seq = custom_basket_operators(4, [0, 1, 2, 3, 4], q=1.0).basket
-    with pytest.raises(ParameterMismatchError):
-        exp1(0.5, CLASSICAL, seq=basket_seq)
-
-
-def test_shared_sequence_caps_the_terms():
-    seq = qp_sequence(5, QUON)
-    ev = exp1(0.9, QUON, seq=seq)
-    assert ev.verdict is Verdict.TRUNCATED and ev.terms_used == 5
-    assert ev.value == exp1(0.9, QUON, SeriesControl(n_max=5, min_terms=5)).value
-
-
 # ----------------------------------------------------------------------
 # the block series kernel against the term-by-term loop it replaces
 
 
-def series_loop(x, params, ctrl, use_abs, seq):
+def series_loop(x, params, ctrl, use_abs):
     """The scalar ``_sum_series`` loop, reading [n] from a fresh build."""
     n_max = ctrl.n_max
-    if seq is not None:
-        if seq.params is None or (seq.params.q, seq.params.p) != (params.q, params.p):
-            raise ParameterMismatchError("sequence was built from different parameters")
-        n_max = min(n_max, seq.n_max)
     radius = convergence_radius(params)
     ax = abs(x)
     if ax >= radius and ax > 0:
@@ -292,25 +265,16 @@ def series_cases(count, seed=20261019):
         tol = 10 ** rng.uniform(-15, -4) if rng.random() < 0.97 else rng.choice(
             (1.0, 3.0, math.inf))
         ctrl = SeriesControl(n_max=n_max, tol=tol, min_terms=rng.randint(1, 10))
-        seq = None
-        pick = rng.random()
-        if pick < 0.1:
-            seq = qp_sequence(rng.randint(0, n_max + 5), params)
-        elif pick < 0.13:
-            seq = qp_sequence(20, DeformationParams(q * 1.01, p))
-        elif pick < 0.15:
-            seq = custom_basket_operators(4, [0, 1, 2, 3, 4], q=1.0).basket
-        yield x, params, ctrl, rng.random() < 0.5, seq
+        yield x, params, ctrl, rng.random() < 0.5
 
 
 def test_series_kernel_matches_the_scalar_loop_bit_for_bit():
     seen = set()
-    for x, params, ctrl, use_abs, seq in series_cases(2400):
-        args = (complex(x), params, ctrl, use_abs, seq)
+    for x, params, ctrl, use_abs in series_cases(2400):
+        args = (complex(x), params, ctrl, use_abs)
         with np.errstate(all="ignore"):
             want = series_outcome(series_loop, *args)
         got = series_outcome(defexp._sum_series, *args)
         assert got == want, args
         seen.add(want[-1] if len(want) == 4 else want[0])
-    assert seen == {*Verdict, "RootOfUnityDegeneracyError",
-                    "ParameterMismatchError"}, seen
+    assert seen == {*Verdict, "RootOfUnityDegeneracyError"}, seen

@@ -120,8 +120,9 @@ def test_custom_basket_quon_identity():
     ops = custom_basket_operators(12, basket, q=q)
     lhs = ops.a @ ops.a_dag - q * (ops.a_dag @ ops.a) - np.eye(12)
     assert np.max(np.abs(lhs[:11, :11])) <= 1e-12
-    report = relation_residuals(ops, DeformationParams(0.5, 1.0))
-    assert report.residual_qp <= 1e-12
+    # a basket carries no p, so there is no p**(-N) to compare with
+    assert ops.p_pow_neg_N is None
+    assert math.isnan(relation_residuals(ops).residual_qp)
 
 
 def test_custom_basket_trigonometric_spectrum():
@@ -132,6 +133,8 @@ def test_custom_basket_trigonometric_spectrum():
     want = [math.sin(n * math.pi / 6) / math.sin(math.pi / 6) for n in range(9)]
     np.testing.assert_allclose(got.real, want, atol=1e-12)
     np.testing.assert_allclose(got.imag, 0.0, atol=1e-12)
+    # Q**12 = 1 makes [6] vanish: the basket's zero is its resonance index
+    assert ops.basket.numbers[6] == 0 and ops.basket.resonance_index == 6
 
 
 def test_custom_basket_validation():

@@ -6,6 +6,7 @@ they replace. Results are compared with ``.tobytes()``: ``array_equal``
 treats -0.0 and +0.0 as equal.
 """
 
+import cmath
 import math
 import random
 import tracemalloc
@@ -13,7 +14,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpcoherent import DeformationParams, SeriesDivergenceError, weight_from_fourier
+from qpcoherent import (
+    DeformationParams,
+    RootOfUnityDegeneracyError,
+    SeriesDivergenceError,
+    weight_from_fourier,
+)
 from qpcoherent import unity
 from qpcoherent._quad import panel_nodes
 from qpcoherent.defexp import SeriesControl
@@ -76,6 +82,8 @@ def wbar_loop(y, params, ctrl):
     streak = np.zeros(y.shape, dtype=int)
     iy = 1j * y
     for n, value in zip(range(1, ctrl.n_max + 1), iter_numbers(params)):
+        if value == 0:   # a flagged [n]
+            raise RootOfUnityDegeneracyError(n)
         term *= iy * (abs(value) / n)
         total += term
         at = np.abs(term)
@@ -104,13 +112,13 @@ def outcome(fn, *args):
         with np.errstate(over="ignore", invalid="ignore"):
             values, terms = fn(*args)
             return "value", values.tobytes(), terms
-    except SeriesDivergenceError as exc:
-        return "error", str(exc)
+    except (SeriesDivergenceError, RootOfUnityDegeneracyError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 def wbar_cases(count, seed=20261018):
     rng = random.Random(seed)
-    for _ in range(count):
+    for i in range(count):
         kind = rng.random()
         if kind < 0.5:      # real q, often a quon
             q = rng.uniform(-0.95, 0.95)
@@ -121,6 +129,9 @@ def wbar_cases(count, seed=20261018):
             p = complex(rng.uniform(0.9, 1.3), rng.uniform(-0.2, 0.2))
         else:               # mostly growing |[n]|: divergent series
             q, p = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+        if i % 5 == 4:      # q p at a root of unity: [m] vanishes
+            m = rng.randint(2, 40)
+            p = cmath.exp(2j * math.pi * rng.randint(1, m - 1) / m) / q
         ctrl = rng.choice([
             SeriesControl(n_max=4000, tol=1e-12, min_terms=10),
             SeriesControl(n_max=rng.randint(10, 120), tol=1e-12, min_terms=10),
@@ -139,9 +150,10 @@ def test_block_wbar_equals_term_loop(monkeypatch):
         expected = outcome(wbar_loop, ys, params, ctrl)
         assert outcome(unity._wbar_values, ys, params, ctrl) == expected, (
             params, y_cut, panels, ctrl, block_bytes)
-        seen.add(expected[0] if expected[0] == "value" else expected[1].split()[2])
+        seen.add(expected[1].split()[2] if expected[0] == "SeriesDivergenceError"
+                 else expected[0])
     # the seeded cases reach every outcome of the kernel
-    assert seen == {"value", "diverges", "noise", "not"}
+    assert seen == {"value", "diverges", "noise", "not", "RootOfUnityDegeneracyError"}
 
 
 # ----------------------------------------------------------------------
