@@ -56,13 +56,11 @@ from .fock import (
     FockOperators,
     RelationReport,
     build_operators,
-    custom_basket_operators,
     relation_residuals,
 )
 from .qnumbers import (
     DeformationParams,
     QNumberSequence,
-    qp_number,
     qp_sequence,
 )
 from .unity import (
@@ -75,7 +73,6 @@ from .unity import (
     physical_weight,
     resolution_residual,
     target_moments,
-    wbar_series,
     weight_from_fourier,
     weight_from_moments,
     weight_to_csv,
@@ -116,7 +113,6 @@ __all__ = [
     "build_operators",
     "classify_regime",
     "convergence_radius",
-    "custom_basket_operators",
     "default_parameter_grid",
     "exp1",
     "exp2",
@@ -128,7 +124,6 @@ __all__ = [
     "physical_weight",
     "proposition1_check",
     "proposition2_check",
-    "qp_number",
     "qp_sequence",
     "ratio_test_logmag",
     "regime_report_to_csv",
@@ -136,7 +131,6 @@ __all__ = [
     "relation_residuals",
     "resolution_residual",
     "target_moments",
-    "wbar_series",
     "weight_from_fourier",
     "weight_from_moments",
     "weight_to_csv",

@@ -31,6 +31,8 @@ from .errors import InvalidParameterError, QpcError
 from .fock import build_operators, relation_residuals
 from .qnumbers import DeformationParams, qp_sequence
 from .unity import (
+    WBAR_NOISE_LIMIT,
+    WBAR_ROUNDING,
     format_float,
     open_output,
     resolution_residual,
@@ -40,8 +42,6 @@ from .unity import (
     weight_to_csv,
     weight_to_json,
 )
-
-CONFIG_ENV = "QPCOHERENT_CONFIG"
 
 _fmt = format_float
 
@@ -55,39 +55,6 @@ def _parse_complex(text: str) -> complex:
         return complex(text.replace(" ", ""))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
-
-
-def _load_config(path: Optional[str]) -> dict:
-    path = path or os.environ.get(CONFIG_ENV)
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    cfg = {}
-    for key, value in raw.items():
-        if isinstance(value, list) and len(value) == 2:
-            cfg[key] = complex(value[0], value[1])
-        else:
-            cfg[key] = value
-    return cfg
-
-
-def _setting(args, config: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        value = config[name]
-        if isinstance(default, complex) and not isinstance(value, complex):
-            return complex(value)
-        return value
-    return default
-
-
-def _params_from(args, config) -> DeformationParams:
-    q = _setting(args, config, "q", 1.0 + 0.0j)
-    p = _setting(args, config, "p", 1.0 + 0.0j)
-    return DeformationParams(q=complex(q), p=complex(p))
 
 
 def _emit_rows(header: list[str], rows: list[list[str]], args) -> None:
@@ -105,14 +72,12 @@ def _emit_rows(header: list[str], rows: list[list[str]], args) -> None:
 # commands
 
 
-def _cmd_qnum(args, config) -> int:
-    params = _params_from(args, config)
-    n_max = int(_setting(args, config, "nmax", 12))
-    seq = qp_sequence(n_max, params)
+def _cmd_qnum(args) -> int:
+    seq = qp_sequence(args.nmax, DeformationParams(args.q, args.p))
     header = ["n", "number_re", "number_im", "factorial_re", "factorial_im",
               "abs_factorial"]
     rows = []
-    for n in range(n_max + 1):
+    for n in range(args.nmax + 1):
         rows.append([str(n), *_fmt_complex_pair(seq.numbers[n]),
                      *_fmt_complex_pair(seq.factorials[n]),
                      _fmt(seq.abs_factorials[n])])
@@ -120,39 +85,31 @@ def _cmd_qnum(args, config) -> int:
     return 0
 
 
-def _cmd_exp(args, config) -> int:
-    params = _params_from(args, config)
-    which = int(_setting(args, config, "which", 1))
-    if which not in (1, 2):
-        raise InvalidParameterError("--which must be 1 or 2")
-    x = complex(_setting(args, config, "x", 1.0 + 0.0j))
-    ctrl = SeriesControl(
-        n_max=int(_setting(args, config, "nmax_terms", 500)),
-        tol=float(_setting(args, config, "tol", 1e-12)),
-        min_terms=int(_setting(args, config, "min_terms", 10)),
-    )
-    ev = (exp1 if which == 1 else exp2)(x, params, ctrl)
+def _cmd_exp(args) -> int:
+    ctrl = SeriesControl(n_max=args.nmax_terms, tol=args.tol,
+                         min_terms=args.min_terms)
+    series = exp1 if args.which == 1 else exp2
+    ev = series(args.x, DeformationParams(args.q, args.p), ctrl)
     header = ["which", "x_re", "x_im", "value_re", "value_im", "terms_used",
               "tail_bound", "verdict"]
-    rows = [[str(which), *_fmt_complex_pair(x), *_fmt_complex_pair(ev.value),
-             str(ev.terms_used), _fmt(ev.tail_bound), ev.verdict.value]]
+    rows = [[str(args.which), *_fmt_complex_pair(args.x),
+             *_fmt_complex_pair(ev.value), str(ev.terms_used),
+             _fmt(ev.tail_bound), ev.verdict.value]]
     _emit_rows(header, rows, args)
     return 0
 
 
-def _cmd_coherent(args, config) -> int:
-    params = _params_from(args, config)
-    z = complex(_setting(args, config, "z", 0.5 + 0.0j))
-    dim = _setting(args, config, "dim", None)
-    state = make_state(z, params, dim=int(dim) if dim is not None else None)
+def _cmd_coherent(args) -> int:
+    params = DeformationParams(args.q, args.p)
+    state = make_state(args.z, params, dim=args.dim)
     ops = build_operators(state.dim, params) if state.dim >= 2 else None
     norm_sq = float(np.sum(np.abs(state.coeffs) ** 2))
     resid = annihilator_residual(state, ops) if ops is not None else 0.0
     header = ["z_re", "z_im", "dim", "norm_const", "norm_sq", "tail_bound",
               "annihilator_residual"]
-    rows = [[*_fmt_complex_pair(z), str(state.dim), _fmt(state.norm_const),
+    rows = [[*_fmt_complex_pair(args.z), str(state.dim), _fmt(state.norm_const),
              _fmt(norm_sq), _fmt(state.tail_bound), _fmt(resid)]]
-    if getattr(args, "coeffs", False):
+    if args.coeffs:
         header = ["n", "coeff_re", "coeff_im"]
         rows = [[str(n), *_fmt_complex_pair(c)]
                 for n, c in enumerate(state.coeffs)]
@@ -160,43 +117,42 @@ def _cmd_coherent(args, config) -> int:
     return 0
 
 
-def _cmd_fock_check(args, config) -> int:
-    params = _params_from(args, config)
-    dim = int(_setting(args, config, "dim", 20))
-    report = relation_residuals(build_operators(dim, params))
+def _cmd_fock_check(args) -> int:
+    ops = build_operators(args.dim, DeformationParams(args.q, args.p))
+    report = relation_residuals(ops)
     header = ["dim", "block_dim", "residual_qmutation", "residual_delta_comm",
               "residual_adag_comm", "residual_qp"]
-    rows = [[str(dim), str(report.block_dim), _fmt(report.residual_qmutation),
-             _fmt(report.residual_delta_comm), _fmt(report.residual_adag_comm),
-             _fmt(report.residual_qp)]]
+    rows = [[str(args.dim), str(report.block_dim),
+             _fmt(report.residual_qmutation), _fmt(report.residual_delta_comm),
+             _fmt(report.residual_adag_comm), _fmt(report.residual_qp)]]
     _emit_rows(header, rows, args)
     return 0
 
 
-def _cmd_weight(args, config) -> int:
-    params = _params_from(args, config)
-    method = str(_setting(args, config, "method", "moments"))
-    if method not in ("moments", "fourier"):
-        raise InvalidParameterError(f"unknown method {method!r}")
-    grid_points = int(_setting(args, config, "grid_points", 513))
-    if grid_points < 1:
+def _cmd_weight(args) -> int:
+    params = DeformationParams(args.q, args.p)
+    if args.grid_points < 1:
         raise InvalidParameterError("--grid-points must be at least 1")
-    x_max = _setting(args, config, "xmax", None)
-    if x_max is not None and not float(x_max) > 0:
-        raise InvalidParameterError("--xmax must be positive")
-    if method == "moments":
-        n_max = int(_setting(args, config, "nmax", 24))
-        degree = int(_setting(args, config, "degree", 12))
-        moments = target_moments(params, n_max)
-        weight = weight_from_moments(moments, degree, grid_points=grid_points,
-                                     x_max=None if x_max is None else float(x_max))
+    radius = convergence_radius(params)
+    if args.xmax is not None:
+        if not args.xmax > 0:
+            raise InvalidParameterError("--xmax must be positive")
+        if math.isfinite(radius) or args.method == "fourier":
+            raise InvalidParameterError("--xmax applies only to the moments "
+                                        "route where the radius is infinite")
+    if args.method == "moments":
+        moments = target_moments(params, args.nmax)
+        weight = weight_from_moments(moments, args.degree,
+                                     grid_points=args.grid_points,
+                                     x_max=args.xmax)
     else:
-        y_cut = float(_setting(args, config, "ycut", 60.0))
-        damping = float(_setting(args, config, "damping", 1e-3))
-        radius = convergence_radius(params)
+        y_cut = args.ycut
+        if y_cut is None:   # keep the Wbar cancellation below its gate
+            y_cut = (math.log(WBAR_NOISE_LIMIT / WBAR_ROUNDING) / radius
+                     if 0 < radius < math.inf else 60.0)
         span = radius if math.isfinite(radius) else 20.0
-        x_grid = np.linspace(0.0, span, grid_points, endpoint=False)
-        weight = weight_from_fourier(params, y_cut, damping, x_grid)
+        x_grid = np.linspace(0.0, span, args.grid_points, endpoint=False)
+        weight = weight_from_fourier(params, y_cut, args.damping, x_grid)
     if args.format == "json":
         weight_to_json(weight, args.out or sys.stdout)
     else:
@@ -301,11 +257,9 @@ def _verify_checks(params: DeformationParams, dim: int, degree: int) -> list[dic
     return checks
 
 
-def _cmd_verify(args, config) -> int:
-    params = _params_from(args, config)
-    dim = int(_setting(args, config, "dim", 20))
-    degree = int(_setting(args, config, "degree", 12))
-    checks = _verify_checks(params, dim, degree)
+def _cmd_verify(args) -> int:
+    checks = _verify_checks(DeformationParams(args.q, args.p), args.dim,
+                            args.degree)
     header = ["check", "value", "threshold", "passed", "note"]
     rows = [[c["check"],
              _fmt(c["value"]) if not math.isnan(c["value"]) else "",
@@ -315,9 +269,8 @@ def _cmd_verify(args, config) -> int:
     return 0 if all(c["passed"] for c in checks) else 1
 
 
-def _cmd_regimes(args, config) -> int:
-    prop = int(_setting(args, config, "prop", 2))
-    if prop == 2:
+def _cmd_regimes(args) -> int:
+    if args.prop == 2:
         rows = convergence.proposition2_check(
             convergence.default_parameter_grid())
         if args.format == "json":
@@ -326,25 +279,23 @@ def _cmd_regimes(args, config) -> int:
             convergence.regime_report_to_csv(rows, args.out or sys.stdout)
         bad = sum(r.contradiction for r in rows)
         return 0 if bad == 0 else 1
-    if prop == 1:
-        header = ["Q_re", "Q_im", "y", "verdict", "estimate", "expected",
-                  "consistent", "skipped"]
-        table = []
-        ok = True
-        for modulus in (0.5, 0.9, 1.1, 2.0):
-            for j in range(10):
-                theta = 0.25 + 0.28 * j
-                Q = modulus * complex(math.cos(theta), math.sin(theta))
-                for row in convergence.proposition1_check(Q, (1.0,)):
-                    ok = ok and row.consistent
-                    table.append([
-                        *_fmt_complex_pair(row.Q), _fmt(row.y),
-                        row.verdict.value if row.verdict else "Skipped",
-                        _fmt(row.estimate), row.expected.value,
-                        str(row.consistent).lower(), row.skipped or ""])
-        _emit_rows(header, table, args)
-        return 0 if ok else 1
-    raise InvalidParameterError("--prop must be 1 or 2")
+    header = ["Q_re", "Q_im", "y", "verdict", "estimate", "expected",
+              "consistent", "skipped"]
+    table = []
+    ok = True
+    for modulus in (0.5, 0.9, 1.1, 2.0):
+        for j in range(10):
+            theta = 0.25 + 0.28 * j
+            Q = modulus * complex(math.cos(theta), math.sin(theta))
+            for row in convergence.proposition1_check(Q, (1.0,)):
+                ok = ok and row.consistent
+                table.append([
+                    *_fmt_complex_pair(row.Q), _fmt(row.y),
+                    row.verdict.value if row.verdict else "Skipped",
+                    _fmt(row.estimate), row.expected.value,
+                    str(row.consistent).lower(), row.skipped or ""])
+    _emit_rows(header, table, args)
+    return 0 if ok else 1
 
 
 # ----------------------------------------------------------------------
@@ -359,78 +310,66 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--q", type=_parse_complex, default=None,
-                       help="deformation parameter q (complex literal)")
-        p.add_argument("--p", type=_parse_complex, default=None,
-                       help="deformation parameter p (complex literal, nonzero)")
-        p.add_argument("--config", default=None,
-                       help=f"JSON config file (or ${CONFIG_ENV})")
+    def command(name, func, summary, params=True):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if params:
+            p.add_argument("--q", type=_parse_complex, default=1 + 0j,
+                           help="deformation parameter q (complex literal)")
+            p.add_argument("--p", type=_parse_complex, default=1 + 0j,
+                           help="deformation parameter p (complex literal, nonzero)")
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("qnum", help="table of [n], [n]!, |[n]|!")
-    common(p)
-    p.add_argument("--nmax", type=int, default=None)
-    p.set_defaults(func=_cmd_qnum)
+    p = command("qnum", _cmd_qnum, "table of [n], [n]!, |[n]|!")
+    p.add_argument("--nmax", type=int, default=12)
 
-    p = sub.add_parser("exp", help="evaluate a deformed exponential")
-    common(p)
-    p.add_argument("--which", type=int, choices=(1, 2), default=None)
-    p.add_argument("--x", type=_parse_complex, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--nmax-terms", dest="nmax_terms", type=int, default=None)
-    p.add_argument("--min-terms", dest="min_terms", type=int, default=None)
-    p.set_defaults(func=_cmd_exp)
+    p = command("exp", _cmd_exp, "evaluate a deformed exponential")
+    p.add_argument("--which", type=int, choices=(1, 2), default=1)
+    p.add_argument("--x", type=_parse_complex, default=1 + 0j)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--nmax-terms", dest="nmax_terms", type=int, default=500)
+    p.add_argument("--min-terms", dest="min_terms", type=int, default=10)
 
-    p = sub.add_parser("coherent", help="construct a coherent state")
-    common(p)
-    p.add_argument("--z", type=_parse_complex, default=None)
-    p.add_argument("--dim", type=int, default=None)
+    p = command("coherent", _cmd_coherent, "construct a coherent state")
+    p.add_argument("--z", type=_parse_complex, default=0.5 + 0j)
+    p.add_argument("--dim", type=int, default=None,
+                   help="truncation (default: where the normalization tail "
+                        "is certified)")
     p.add_argument("--coeffs", action="store_true",
                    help="dump the coefficient vector instead of the summary")
-    p.set_defaults(func=_cmd_coherent)
 
-    p = sub.add_parser("fock-check", help="algebra relation residuals")
-    common(p)
-    p.add_argument("--dim", type=int, default=None)
-    p.set_defaults(func=_cmd_fock_check)
+    p = command("fock-check", _cmd_fock_check, "algebra relation residuals")
+    p.add_argument("--dim", type=int, default=20)
 
-    p = sub.add_parser("weight", help="recover the unity weight function")
-    common(p)
-    p.add_argument("--method", choices=("moments", "fourier"), default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--ycut", type=float, default=None)
-    p.add_argument("--damping", type=float, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    p.add_argument("--xmax", type=float, default=None)
-    p.set_defaults(func=_cmd_weight)
+    p = command("weight", _cmd_weight, "recover the unity weight function")
+    p.add_argument("--method", choices=("moments", "fourier"), default="moments")
+    p.add_argument("--degree", type=int, default=12)
+    p.add_argument("--nmax", type=int, default=24)
+    p.add_argument("--ycut", type=float, default=None,
+                   help="Fourier window (default: ln(1e-2/2.3e-16)/R, or 60 "
+                        "where R is infinite)")
+    p.add_argument("--damping", type=float, default=1e-3)
+    p.add_argument("--grid-points", dest="grid_points", type=int, default=513)
+    p.add_argument("--xmax", type=float, default=None,
+                   help="moments-route grid span where R is infinite "
+                        "(default: max(20, 2 degree))")
 
-    p = sub.add_parser("verify", help="run the verification suite")
-    common(p)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.set_defaults(func=_cmd_verify)
+    p = command("verify", _cmd_verify, "run the verification suite")
+    p.add_argument("--dim", type=int, default=20)
+    p.add_argument("--degree", type=int, default=12)
 
-    p = sub.add_parser("regimes", help="convergence-regime sweep")
-    common(p)
-    p.add_argument("--prop", type=int, choices=(1, 2), default=None)
-    p.set_defaults(func=_cmd_regimes)
+    p = command("regimes", _cmd_regimes, "convergence-regime sweep", params=False)
+    p.add_argument("--prop", type=int, choices=(1, 2), default=2)
 
     return ap
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, config)
+        return args.func(args)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,7 +56,8 @@ def make_state(
 
     When ``dim`` is omitted it is chosen so the normalization-series tail is
     below the series tolerance of 1e-13, tying the Fock truncation
-    to a certified tail. Labels with |z|^2 >= R are rejected.
+    to a certified tail. Labels with |z|^2 >= R are rejected, and a
+    normalization series that does not converge raises SeriesDivergenceError.
     """
     z = complex(z)
     radius = convergence_radius(params)
@@ -65,9 +66,10 @@ def make_state(
             f"|z|^2 = {abs(z)**2:.6g} >= convergence radius {radius:.6g}"
         )
     ev = exp2(abs(z) ** 2, params, _STATE_CONTROL)   # inside the disk
-    if ev.verdict is Verdict.TRUNCATED:
+    if ev.verdict is not Verdict.CONVERGED:
         raise SeriesDivergenceError(
-            "normalization series did not converge within the term cap"
+            f"normalization series at |z|^2 = {abs(z)**2:.6g} is "
+            f"{ev.verdict.value}, not Converged"
         )
     if dim is None:
         dim = ev.terms_used + 1
@@ -141,9 +143,8 @@ def _check_state_ops(state: CoherentState, ops: FockOperators) -> None:
         raise ParameterMismatchError(
             f"operator truncation {ops.dim} != state truncation {state.dim}"
         )
-    if ops.params is not None:
-        if ops.params.q != state.params.q or ops.params.p != state.params.p:
-            raise ParameterMismatchError("operators and state parameters differ")
+    if ops.params.q != state.params.q or ops.params.p != state.params.p:
+        raise ParameterMismatchError("operators and state parameters differ")
 
 
 def annihilator_residual(state: CoherentState, ops: FockOperators) -> float:

@@ -115,10 +115,16 @@ def _sum_series(
             tails = at * r / (1.0 - r)
             ratio_test = (at <= prev) & (r < 1.0)
             ratio_test[:max(ctrl.min_terms - n - 1, 0)] = False
-            budget = ctrl.tol * np.maximum(np.abs(totals).astype(float), 1.0)
-            stop = ratio_test & (np.maximum(at, tails) <= budget)
+            mags = np.abs(totals).astype(float)
+            budget = ctrl.tol * np.maximum(mags, 1.0)
+            # a total beyond double range ends the sum: inf <= tol * inf
+            overflow = ~np.isfinite(mags)
+            stop = (ratio_test & (np.maximum(at, tails) <= budget)) | overflow
             if stop.any():
                 i = int(stop.argmax())
+                if overflow[i]:
+                    return SeriesEvaluation(_NAN, n + i + 1, math.inf,
+                                            Verdict.DIVERGENT_INPUT)
                 return SeriesEvaluation(complex(totals[i]), n + i + 1,
                                         float(tails[i]), Verdict.CONVERGED)
             if ratio_test.any():
@@ -137,9 +143,10 @@ def exp1(
 ) -> SeriesEvaluation:
     """Evaluate sum x**n / [n]! with tail control.
 
-    Inputs on or beyond the convergence disk return a DivergentInput verdict
-    rather than raising; a vanishing [n] below the truncation raises
-    RootOfUnityDegeneracyError.
+    Inputs on or beyond the convergence disk, and sums whose partial sum
+    leaves double range before they stop, return a DivergentInput verdict
+    with a NaN value rather than raising; a vanishing [n] below the
+    truncation raises RootOfUnityDegeneracyError.
     """
     return _sum_series(complex(x), params, ctrl, use_abs=False)
 

@@ -10,18 +10,11 @@ interior block where truncation edge effects cannot reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .qnumbers import (
-    DeformationParams,
-    QNumberSequence,
-    _running_products,
-    _sequence,
-    qp_sequence,
-)
+from .qnumbers import DeformationParams, _running_products, qp_sequence
 
 
 @dataclass(frozen=True)
@@ -33,10 +26,8 @@ class FockOperators:
     a_dag: np.ndarray
     delta: np.ndarray
     delta_prime: np.ndarray
-    p_pow_neg_N: Optional[np.ndarray]
-    basket: QNumberSequence
-    q: complex
-    params: Optional[DeformationParams] = None
+    p_pow_neg_N: np.ndarray
+    params: DeformationParams
 
 
 @dataclass(frozen=True)
@@ -50,59 +41,22 @@ class RelationReport:
     block_dim: int
 
 
-def _freeze(*arrays: np.ndarray) -> None:
-    for arr in arrays:
-        arr.flags.writeable = False
-
-
-def _assemble(dim: int, seq: QNumberSequence, q: complex,
-              p_pow: Optional[np.ndarray],
-              params: Optional[DeformationParams]) -> FockOperators:
-    numbers = seq.numbers
-    roots = np.sqrt(numbers[1:dim].astype(complex))
-    a = np.zeros((dim, dim), dtype=complex)
-    a[np.arange(dim - 1), np.arange(1, dim)] = roots
-    a_dag = a.T.copy()
-    delta = np.diag(numbers[:dim])
-    if len(numbers) > dim:
-        upper = numbers[1:dim + 1]
-    else:
-        upper = np.concatenate([numbers[1:dim], [complex(np.nan, np.nan)]])
-    delta_prime = np.diag(upper - q * numbers[:dim])
-    _freeze(a, a_dag, delta, delta_prime)
-    if p_pow is not None:
-        _freeze(p_pow)
-    return FockOperators(dim=dim, a=a, a_dag=a_dag, delta=delta,
-                         delta_prime=delta_prime, p_pow_neg_N=p_pow,
-                         basket=seq, q=q, params=params)
-
-
 def build_operators(dim: int, params: DeformationParams) -> FockOperators:
     """Build a, a+, delta, delta_prime and p**(-N) at truncation ``dim``."""
     if dim < 2:
         raise InvalidParameterError("dim must be at least 2")
+    numbers = qp_sequence(dim, params).numbers
+    a = np.zeros((dim, dim), dtype=complex)
+    a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(numbers[1:dim])
+    a_dag = a.T.copy()
+    delta = np.diag(numbers[:dim])
+    delta_prime = np.diag(numbers[1:] - params.q * numbers[:dim])
     p_pow = np.diag(_running_products(np.full(dim - 1, params.p_inv)))
-    return _assemble(dim, qp_sequence(dim, params), params.q, p_pow, params)
-
-
-def custom_basket_operators(dim: int, basket: Sequence[complex],
-                            q: complex) -> FockOperators:
-    """Same construction from caller-supplied deformed numbers.
-
-    ``basket[0]`` must be 0. ``q`` only enters the delta_prime diagonal; with
-    length exactly ``dim`` the last delta_prime entry is NaN (it would need
-    basket[dim], which is outside the truncation anyway). A later zero entry
-    is the sequence's ``resonance_index``; ``p_pow_neg_N`` is None.
-    """
-    basket = np.asarray(basket, dtype=complex)
-    if dim < 2:
-        raise InvalidParameterError("dim must be at least 2")
-    if len(basket) < dim:
-        raise InvalidParameterError(f"basket must supply at least {dim} entries")
-    if basket[0] != 0:
-        raise InvalidParameterError("basket[0] must be 0")
-    seq = _sequence(None, basket[:dim + 1].copy())
-    return _assemble(dim, seq, complex(q), None, None)
+    for arr in (a, a_dag, delta, delta_prime, p_pow):
+        arr.flags.writeable = False
+    return FockOperators(dim=dim, a=a, a_dag=a_dag, delta=delta,
+                         delta_prime=delta_prime, p_pow_neg_N=p_pow,
+                         params=params)
 
 
 def _block_max(matrix: np.ndarray, k: int) -> float:
@@ -120,17 +74,14 @@ def relation_residuals(ops: FockOperators) -> RelationReport:
         delta a+ - q a+ delta      = a+ delta_prime
         a a+ - q a+ a              = p**(-N)
 
-    The last one reads ``p_pow_neg_N``; for a custom basket it is NaN.
+    The last one reads ``p_pow_neg_N``.
     """
-    q = ops.q
+    q = ops.params.q
     a, ad, d, dp = ops.a, ops.a_dag, ops.delta, ops.delta_prime
     k = ops.dim - 1
     qmutator = a @ ad - q * (ad @ a)
     r1 = _block_max(qmutator - dp, k)
     r2 = _block_max(a @ d - q * (d @ a) - dp @ a, k)
     r3 = _block_max(d @ ad - q * (ad @ d) - ad @ dp, k)
-    if ops.p_pow_neg_N is not None:
-        r4 = _block_max(qmutator - ops.p_pow_neg_N, k)
-    else:
-        r4 = float("nan")
+    r4 = _block_max(qmutator - ops.p_pow_neg_N, k)
     return RelationReport(r1, r2, r3, r4, block_dim=k)

@@ -72,7 +72,7 @@ class QNumberSequence:
     [n] is stored as an exact 0, and ``numbers[1:]`` is 0 nowhere else.
     """
 
-    params: Optional[DeformationParams]
+    params: DeformationParams
     n_max: int
     numbers: np.ndarray
     factorials: np.ndarray
@@ -140,28 +140,22 @@ def _build(params: DeformationParams, count: int
 
 
 def _full_sequence(params: DeformationParams, count: int) -> QNumberSequence:
-    """The sequence of n_max = count; ``_build``'s flagged [n] are stored as 0.
+    """The sequence of n_max = count, read-only; ``_build``'s flagged [n] are
+    stored as 0.
 
     ``_build`` flags every exact zero, so ``numbers[1:] == 0`` holds exactly
-    at the flagged n: readers that divide by [n] test for a zero."""
+    at the flagged n: readers that divide by [n] test for a zero, and the
+    first such n is the resonance index."""
     values, resonant = _build(params, count)
-    return _sequence(params, np.concatenate(
-        [np.zeros(1, complex), np.where(resonant, 0, values)]))
-
-
-def _sequence(params: Optional[DeformationParams],
-              numbers: np.ndarray) -> QNumberSequence:
-    """[n]! and |[n]|! of ``numbers`` (entry 0 is [0] = 0), read-only; a zero
-    in ``numbers[1:]`` is the resonance index."""
+    numbers = np.concatenate([np.zeros(1, complex), np.where(resonant, 0, values)])
     with np.errstate(over="ignore", invalid="ignore"):
         factorials = _running_products(numbers[1:])
         abs_factorials = _running_products(_moduli(numbers[1:]))
     overflow = ~(np.isfinite(factorials) & np.isfinite(abs_factorials))
-    resonant = numbers[1:] == 0
     for arr in (numbers, factorials, abs_factorials):
         arr.flags.writeable = False
     return QNumberSequence(
-        params, len(numbers) - 1, numbers, factorials, abs_factorials,
+        params, count, numbers, factorials, abs_factorials,
         int(np.argmax(overflow)) if overflow.any() else None,
         int(np.argmax(resonant)) + 1 if resonant.any() else None)
 
@@ -188,15 +182,6 @@ def _stored(params: DeformationParams, count: int) -> QNumberSequence:
             _store.popitem(last=False)
     _store[key] = entry
     return entry
-
-
-def qp_number(n: int, params: DeformationParams) -> complex:
-    """The n-th deformed number [n]; exact 0 at n = 0 and at a flagged n."""
-    if n < 0:
-        raise InvalidParameterError("n must be a nonnegative integer")
-    if n == 0:
-        return 0.0 + 0.0j
-    return complex(_stored(params, n).numbers[n])
 
 
 def iter_numbers(params: DeformationParams) -> Iterator[complex]:

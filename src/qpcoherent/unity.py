@@ -30,13 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._quad import adaptive_gl, panel_nodes
-from .defexp import (
-    UNIT_MODULUS_TOL,
-    SeriesControl,
-    SeriesEvaluation,
-    Verdict,
-    convergence_radius,
-)
+from .defexp import UNIT_MODULUS_TOL, SeriesControl, convergence_radius
 from .errors import (
     IllConditionedError,
     InvalidParameterError,
@@ -66,9 +60,15 @@ _GRID_SERIES_CAP = 400_000
 #: exp(-i x y) matrix, or a block of Wbar terms over all nodes
 _BLOCK_BYTES = 1 << 20
 
-#: truncation of every Wbar sum, pointwise (``wbar_series``) or on the
-#: Fourier route's quadrature nodes
+#: truncation of every Wbar sum on the Fourier route's quadrature nodes
 WBAR_CONTROL = SeriesControl(n_max=4000, tol=1e-12, min_terms=10)
+
+#: the Wbar terms peak near exp(R |y|) while the sum stays O(1): the sum
+#: loses about WBAR_ROUNDING of the peak term, and a loss above
+#: WBAR_NOISE_LIMIT of the sum raises; so |y| up to
+#: ln(WBAR_NOISE_LIMIT / WBAR_ROUNDING) / R stays below the gate
+WBAR_ROUNDING = 2.3e-16
+WBAR_NOISE_LIMIT = 1e-2
 
 
 class Basis(Enum):
@@ -170,22 +170,6 @@ def target_moments(params: DeformationParams, n_max: int) -> MomentSet:
                      support=(0.0, convergence_radius(params)))
 
 
-def wbar_series(y: float, params: DeformationParams) -> SeriesEvaluation:
-    """Evaluate Wbar(y) = sum |[n]|! (iy)**n / (pi n!): ``_wbar_values`` at one y.
-
-    ``terms_used`` is the index of the term where the sum stopped, and
-    ``tail_bound`` is the stop rule's own budget, ``tol * max(|value|, 1)``,
-    that the last terms were tested against; it is not a proven bound on
-    the remainder. Growing terms, cancellation noise and the term cap raise
-    SeriesDivergenceError, so the verdict is always Converged; a flagged [n]
-    at or before the stop raises RootOfUnityDegeneracyError.
-    """
-    values, terms = _wbar_values(np.array([float(y)]), params)
-    value = complex(values[0])
-    return SeriesEvaluation(value, terms, WBAR_CONTROL.tol * max(abs(value), 1.0),
-                            Verdict.CONVERGED)
-
-
 def _wbar_values(y: np.ndarray, params: DeformationParams,
                  ctrl: SeriesControl = WBAR_CONTROL) -> tuple[np.ndarray, int]:
     """Vectorized Wbar over a 1-D array of real ordinates, and the stop index.
@@ -235,8 +219,9 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
                     raise SeriesDivergenceError(
                         "Wbar series diverges for these parameters; no inverse transform"
                     )
-                noise = np.max(2.3e-16 * peaks[r] / np.maximum(np.abs(totals[r]), 1e-300))
-                if noise > 1e-2:
+                noise = np.max(WBAR_ROUNDING * peaks[r]
+                               / np.maximum(np.abs(totals[r]), 1e-300))
+                if noise > WBAR_NOISE_LIMIT:
                     raise SeriesDivergenceError(
                         f"Wbar cancellation noise {noise:.2e} at |y| up to "
                         f"{float(np.max(np.abs(y))):.3g}; reduce y_cut"

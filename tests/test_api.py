@@ -4,9 +4,11 @@
 name, and a run fails at ``Tracer.install`` when one is gone. The table is
 read from the file's syntax tree, so the benchmark package is not imported.
 The signature of every exported name is pinned, so a change to the public
-API has to edit ``SIGNATURES``.
+API has to edit ``SIGNATURES``; so are the option strings and defaults of
+every CLI subcommand, so a change to the command line has to edit ``CLI``.
 """
 
+import argparse
 import ast
 import enum
 import importlib
@@ -14,6 +16,7 @@ import inspect
 from pathlib import Path
 
 import qpcoherent
+from qpcoherent import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -46,7 +49,7 @@ SIGNATURES = {
     'Basis': 'ShiftedLegendre|GeneralizedLaguerre',
     'CoherentState': "(z: 'complex', params: 'DeformationParams', coeffs: 'np.ndarray', norm_const: 'float', tail_bound: 'float') -> None",
     'DeformationParams': "(q: 'complex', p: 'complex') -> None",
-    'FockOperators': "(dim: 'int', a: 'np.ndarray', a_dag: 'np.ndarray', delta: 'np.ndarray', delta_prime: 'np.ndarray', p_pow_neg_N: 'Optional[np.ndarray]', basket: 'QNumberSequence', q: 'complex', params: 'Optional[DeformationParams]' = None) -> None",
+    'FockOperators': "(dim: 'int', a: 'np.ndarray', a_dag: 'np.ndarray', delta: 'np.ndarray', delta_prime: 'np.ndarray', p_pow_neg_N: 'np.ndarray', params: 'DeformationParams') -> None",
     'IllConditionedError': '(*args)',
     'InvalidParameterError': '(*args)',
     'LabelOutOfDiskError': '(*args)',
@@ -55,7 +58,7 @@ SIGNATURES = {
     'OverlapInconsistencyError': '(*args)',
     'ParameterMismatchError': '(*args)',
     'Prop1Row': "(Q: 'complex', y: 'float', verdict: 'Optional[RatioVerdict]', estimate: 'float', expected: 'RatioVerdict', consistent: 'bool', skipped: 'Optional[str]' = None) -> None",
-    'QNumberSequence': "(params: 'Optional[DeformationParams]', n_max: 'int', numbers: 'np.ndarray', factorials: 'np.ndarray', abs_factorials: 'np.ndarray', overflow_index: 'Optional[int]' = None, resonance_index: 'Optional[int]' = None) -> None",
+    'QNumberSequence': "(params: 'DeformationParams', n_max: 'int', numbers: 'np.ndarray', factorials: 'np.ndarray', abs_factorials: 'np.ndarray', overflow_index: 'Optional[int]' = None, resonance_index: 'Optional[int]' = None) -> None",
     'QpcError': '(*args)',
     'QuadratureError': '(*args)',
     'RatioTestResult': "(verdict: 'RatioVerdict', estimate: 'float', sigma: 'float', n_ratios: 'int', tail_samples: 'tuple[float, ...]' = ()) -> None",
@@ -74,7 +77,6 @@ SIGNATURES = {
     'build_operators': "(dim: 'int', params: 'DeformationParams') -> 'FockOperators'",
     'classify_regime': "(params: 'DeformationParams') -> 'Regime'",
     'convergence_radius': "(params: 'DeformationParams') -> 'float'",
-    'custom_basket_operators': "(dim: 'int', basket: 'Sequence[complex]', q: 'complex') -> 'FockOperators'",
     'default_parameter_grid': "() -> 'list[DeformationParams]'",
     'exp1': "(x: 'complex', params: 'DeformationParams', ctrl: 'SeriesControl' = SeriesControl(n_max=500, tol=1e-12, min_terms=10)) -> 'SeriesEvaluation'",
     'exp2': "(x: 'complex', params: 'DeformationParams', ctrl: 'SeriesControl' = SeriesControl(n_max=500, tol=1e-12, min_terms=10)) -> 'SeriesEvaluation'",
@@ -86,7 +88,6 @@ SIGNATURES = {
     'physical_weight': "(wtilde: 'WeightFunction', params: 'DeformationParams') -> 'WeightFunction'",
     'proposition1_check': "(Q: 'complex', y_samples: 'Sequence[float]') -> 'list[Prop1Row]'",
     'proposition2_check': "(grid: 'Sequence[DeformationParams]', y_samples: 'Sequence[float]' = (0.5, 1.0, 2.0)) -> 'list[RegimeVerdict]'",
-    'qp_number': "(n: 'int', params: 'DeformationParams') -> 'complex'",
     'qp_sequence': "(n_max: 'int', params: 'DeformationParams') -> 'QNumberSequence'",
     'ratio_test_logmag': "(log_terms: 'np.ndarray', window: 'int' = 50) -> 'RatioTestResult'",
     'regime_report_to_csv': "(rows: 'Sequence[RegimeVerdict]', file_or_path) -> 'None'",
@@ -94,7 +95,6 @@ SIGNATURES = {
     'relation_residuals': "(ops: 'FockOperators') -> 'RelationReport'",
     'resolution_residual': "(weight: 'WeightFunction', params: 'DeformationParams', dim: 'int') -> 'float'",
     'target_moments': "(params: 'DeformationParams', n_max: 'int') -> 'MomentSet'",
-    'wbar_series': "(y: 'float', params: 'DeformationParams') -> 'SeriesEvaluation'",
     'weight_from_fourier': "(params: 'DeformationParams', y_cut: 'float', damping: 'float', x_grid: 'np.ndarray | None' = None, *, wbar: 'Optional[Callable[[np.ndarray], np.ndarray]]' = None) -> 'WeightFunction'",
     'weight_from_moments': "(moments: 'MomentSet', degree: 'int', *, grid_points: 'int' = 801, x_max: 'float | None' = None) -> 'WeightFunction'",
     'weight_to_csv': "(weight: 'WeightFunction', params: 'DeformationParams', file_or_path) -> 'None'",
@@ -114,3 +114,41 @@ def test_public_signatures_are_pinned():
     got = {name: _signature(getattr(qpcoherent, name)) for name in qpcoherent.__all__}
     assert list(got) == list(SIGNATURES)
     assert got == SIGNATURES
+
+
+#: option strings and defaults of every CLI subcommand, in parser order
+CLI = {
+    'qnum': {'--q': 1 + 0j, '--p': 1 + 0j, '--out': None, '--format': 'csv',
+             '--nmax': 12},
+    'exp': {'--q': 1 + 0j, '--p': 1 + 0j, '--out': None, '--format': 'csv',
+            '--which': 1, '--x': 1 + 0j, '--tol': 1e-12, '--nmax-terms': 500,
+            '--min-terms': 10},
+    'coherent': {'--q': 1 + 0j, '--p': 1 + 0j, '--out': None, '--format': 'csv',
+                 '--z': 0.5 + 0j, '--dim': None, '--coeffs': False},
+    'fock-check': {'--q': 1 + 0j, '--p': 1 + 0j, '--out': None,
+                   '--format': 'csv', '--dim': 20},
+    'weight': {'--q': 1 + 0j, '--p': 1 + 0j, '--out': None, '--format': 'csv',
+               '--method': 'moments', '--degree': 12, '--nmax': 24,
+               '--ycut': None, '--damping': 1e-3, '--grid-points': 513,
+               '--xmax': None},
+    'verify': {'--q': 1 + 0j, '--p': 1 + 0j, '--out': None, '--format': 'csv',
+               '--dim': 20, '--degree': 12},
+    'regimes': {'--out': None, '--format': 'csv', '--prop': 2},
+}
+
+
+def test_cli_options_are_pinned():
+    parser = cli._build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    got = {name: {"/".join(action.option_strings): action.default
+                  for action in command._actions
+                  if action.option_strings and action.dest != "help"}
+           for name, command in sub.choices.items()}
+    def order(table):
+        return [(name, list(options)) for name, options in table.items()]
+
+    assert order(got) == order(CLI)
+    assert got == CLI
+    # a flag is read only under its full name, never an abbreviation
+    assert not any(command.allow_abbrev for command in sub.choices.values())

@@ -92,6 +92,15 @@ def test_coherent_out_of_disk_is_computational_error(capsys):
     assert "convergence radius" in capsys.readouterr().err
 
 
+def test_coherent_divergent_normalization_is_error(tmp_path, capsys):
+    # inside R = 6, but the normalization series leaves double range
+    code, text = run_cli(["coherent", "--q", "0.5", "--p", "1.5", "--z", "1"],
+                         tmp_path)
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: normalization series")
+
+
 def test_fock_check(tmp_path):
     code, text = run_cli(["fock-check", "--q", "0.5", "--p", "1", "--dim", "12"],
                          tmp_path)
@@ -127,12 +136,41 @@ def test_weight_fourier_has_imag_diagnostic(tmp_path):
     ["--q", "0.5", "--grid-points", "0", "--method", "fourier"],
     ["--q", "1", "--xmax", "0"],
     ["--q", "1", "--xmax", "-2"],
+    ["--q", "0.5", "--xmax", "3"],                        # R = 2 is the span
+    ["--q", "0.5", "--xmax", "3", "--method", "fourier"],
+    ["--q", "1", "--xmax", "5", "--method", "fourier"],   # Fourier span is 20
 ], ids=" ".join)
 def test_weight_bad_grid_is_usage_error(tmp_path, capsys, extra):
     code, text = run_cli(["weight", "--p", "1", *extra], tmp_path)
     assert code == 2 and text == ""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --")
+
+
+@pytest.mark.parametrize("q, decay", [("0.5", 5.2e-2), ("0.9", 9.2e-2)])
+def test_weight_fourier_default_ycut_follows_the_radius(tmp_path, capsys, q,
+                                                        decay):
+    # ln(1e-2/2.3e-16)/R: 15.70 at R = 2 and 3.14 at R = 10, where 60 raised
+    # on the Wbar cancellation gate. The window still cuts the integrand
+    # where it is large, so the default result is smoothed, not verified.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["weight", "--q", q, "--p", "1", "--method",
+                              "fourier", "--format", "json"], tmp_path)
+    assert code == 0 and capsys.readouterr().err == ""
+    radius = 1.0 / (1.0 - float(q))
+    diagnostics = json.loads(text)["diagnostics"]
+    assert float(diagnostics["y_cut"]) == math.log(1e-2 / 2.3e-16) / radius
+    assert float(diagnostics["window_decay"]) == pytest.approx(decay, rel=0.05)
+
+
+@pytest.mark.parametrize("extra", [["--q", "5"], ["--p", "1"], ["--p", "7"]],
+                         ids=" ".join)
+def test_regimes_takes_no_parameters(extra):
+    # --p is no abbreviation of --prop
+    with pytest.raises(SystemExit) as err:
+        main(["regimes", *extra])
+    assert err.value.code == 2
 
 
 def test_weight_unknown_method_is_usage_error():
@@ -249,28 +287,6 @@ def test_regimes_prop2_sweep(tmp_path):
                          tmp_path, name="out.json")
     assert code == 0
     assert all(r["contradiction"] is False for r in json.loads(text))
-
-
-def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"q": [0.5, 0.0], "p": [1.0, 0.0], "nmax": 2}))
-    code, text = run_cli(["qnum", "--config", str(cfg)], tmp_path)
-    assert code == 0
-    assert len(parse_csv(text)) == 3
-    # flag wins over the config value
-    code, text = run_cli(["qnum", "--config", str(cfg), "--nmax", "5"],
-                         tmp_path, name="out2.csv")
-    assert len(parse_csv(text)) == 6
-
-
-def test_config_env_var(tmp_path, monkeypatch):
-    cfg = tmp_path / "env.json"
-    cfg.write_text(json.dumps({"q": [1.0, 0.0], "p": [1.0, 0.0], "nmax": 3}))
-    monkeypatch.setenv("QPCOHERENT_CONFIG", str(cfg))
-    code, text = run_cli(["qnum"], tmp_path)
-    assert code == 0
-    rows = parse_csv(text)
-    assert [float(r["factorial_re"]) for r in rows] == [1, 1, 2, 6]
 
 
 def test_json_output_format(tmp_path):

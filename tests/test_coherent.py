@@ -10,6 +10,7 @@ from qpcoherent import (
     LabelOutOfDiskError,
     ParameterMismatchError,
     RootOfUnityDegeneracyError,
+    SeriesDivergenceError,
     annihilator_residual,
     build_operators,
     convergence_radius,
@@ -65,6 +66,13 @@ def test_label_outside_disk_rejected():
         make_state(1.5, QUON)          # |z|^2 = 2.25 > R = 2
     with pytest.raises(LabelOutOfDiskError):
         make_state(math.sqrt(2.0), QUON)   # exactly on the boundary
+
+
+def test_divergent_normalization_series_is_rejected():
+    # inside R = 6, but |[n]| decays like (2/3)**n: the normalization series
+    # leaves double range, and a zero norm constant would be no state
+    with pytest.raises(SeriesDivergenceError, match="DivergentInput"):
+        make_state(1.0, DeformationParams(0.5, 1.5))
 
 
 def test_overlap_classical_closed_form():

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import struct
@@ -204,6 +205,9 @@ def series_loop(x, params, ctrl, use_abs):
             raise RootOfUnityDegeneracyError(n)
         term = term * (xl / np.clongdouble(abs(value) if use_abs else value))
         total = total + term
+        if not math.isfinite(float(abs(total))):   # beyond double range
+            return SeriesEvaluation(complex(math.nan, math.nan), n, math.inf,
+                                    Verdict.DIVERGENT_INPUT)
         at = float(abs(term))
         if n >= ctrl.min_terms and at <= prev_abs:
             if r_geom > 0.0:
@@ -278,3 +282,33 @@ def test_series_kernel_matches_the_scalar_loop_bit_for_bit():
         assert got == want, args
         seen.add(want[-1] if len(want) == 4 else want[0])
     assert seen == {*Verdict, "RootOfUnityDegeneracyError"}, seen
+
+
+def test_no_converged_sum_is_non_finite():
+    # the four quadrants |q| <> 1, |p| <> 1; at (0.5, 1.5), where |[n]|
+    # decays like (2/3)**n inside R = 6, the partial sums leave double range
+    rng = random.Random(7)
+    seen = set()
+    for q_big, p_big in itertools.product((False, True), repeat=2):
+        for _ in range(40):
+            q = rng.uniform(1.05, 2.5) if q_big else rng.uniform(0.1, 0.95)
+            p = rng.uniform(1.05, 2.5) if p_big else rng.uniform(0.1, 0.95)
+            params = DeformationParams(cmath.rect(q, rng.uniform(-3, 3)),
+                                       cmath.rect(p, rng.uniform(-3, 3)))
+            R = convergence_radius(params)
+            x = cmath.rect(rng.uniform(0.0, 0.999) * min(R, 50.0),
+                           rng.uniform(-3, 3))
+            for series in (exp1, exp2):
+                try:
+                    ev = series(x, params)
+                except RootOfUnityDegeneracyError:
+                    continue
+                seen.add(ev.verdict)
+                if ev.verdict is Verdict.CONVERGED:
+                    assert cmath.isfinite(ev.value), (params, x)
+    assert Verdict.CONVERGED in seen and Verdict.DIVERGENT_INPUT in seen
+    for x in (0.5, 2.0, 5.0):
+        for series in (exp1, exp2):
+            ev = series(x, DeformationParams(0.5, 1.5))
+            assert ev.verdict is Verdict.DIVERGENT_INPUT
+            assert cmath.isnan(ev.value) and ev.tail_bound == math.inf

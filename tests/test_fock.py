@@ -8,8 +8,6 @@ from qpcoherent import (
     DeformationParams,
     InvalidParameterError,
     build_operators,
-    custom_basket_operators,
-    qp_number,
     qp_sequence,
     relation_residuals,
 )
@@ -51,7 +49,8 @@ def test_annihilator_kills_vacuum():
 def test_delta_spectrum_is_the_basket():
     params = DeformationParams(0.7 * cmath.exp(0.5j), cmath.exp(1.3j))
     ops = build_operators(10, params)
-    np.testing.assert_array_equal(np.diag(ops.delta), ops.basket.numbers[:10])
+    np.testing.assert_array_equal(np.diag(ops.delta),
+                                  qp_sequence(10, params).numbers[:10])
 
 
 def test_creator_is_plain_transpose():
@@ -65,9 +64,10 @@ def test_ladder_consistency_builds_number_states():
     params = DeformationParams(0.8 * cmath.exp(1.1j), cmath.exp(0.3j))
     dim = 12
     ops = build_operators(dim, params)
+    seq = qp_sequence(dim, params)
     vec = np.zeros(dim, dtype=complex)
     vec[0] = 1.0
-    roots = np.sqrt(ops.basket.numbers[1:].astype(complex))
+    roots = np.sqrt(seq.numbers[1:])
     expected_scale = 1.0 + 0.0j
     for n in range(1, dim):
         vec = ops.a_dag @ vec
@@ -76,7 +76,7 @@ def test_ladder_consistency_builds_number_states():
         expected[n] = expected_scale
         np.testing.assert_allclose(vec, expected, rtol=1e-12, atol=1e-12)
         assert abs(expected_scale) == pytest.approx(
-            math.sqrt(ops.basket.abs_factorials[n]), rel=1e-12)
+            math.sqrt(seq.abs_factorials[n]), rel=1e-12)
 
 
 def test_delta_prime_equals_inverse_p_powers():
@@ -108,40 +108,29 @@ def test_classical_commutator_is_identity_on_interior():
     np.testing.assert_allclose(comm[:9, :9], np.eye(9), atol=1e-12)
 
 
-def test_custom_basket_classical():
-    ops = custom_basket_operators(6, list(range(7)), q=1.0)
-    ref = build_operators(6, CLASSICAL)
-    np.testing.assert_allclose(ops.a, ref.a, atol=1e-14)
+def test_classical_annihilator_is_sqrt_n():
+    ops = build_operators(6, CLASSICAL)
+    np.testing.assert_allclose(ops.a, np.diag(np.sqrt(np.arange(1.0, 6.0)), 1),
+                               atol=1e-14)
 
 
-def test_custom_basket_quon_identity():
+def test_quon_identity():
     q = 0.5
-    basket = [(q ** n - 1) / (q - 1) for n in range(14)]
-    ops = custom_basket_operators(12, basket, q=q)
+    ops = build_operators(12, QUON)
     lhs = ops.a @ ops.a_dag - q * (ops.a_dag @ ops.a) - np.eye(12)
     assert np.max(np.abs(lhs[:11, :11])) <= 1e-12
-    # a basket carries no p, so there is no p**(-N) to compare with
-    assert ops.p_pow_neg_N is None
-    assert math.isnan(relation_residuals(ops).residual_qp)
 
 
-def test_custom_basket_trigonometric_spectrum():
+def test_trigonometric_spectrum():
     Q = cmath.exp(1j * math.pi / 6)
-    basket = [qp_number(n, DeformationParams(Q, Q)) for n in range(10)]
-    ops = custom_basket_operators(9, basket, q=Q)
+    ops = build_operators(9, DeformationParams(Q, Q))
     got = np.diag(ops.delta)
     want = [math.sin(n * math.pi / 6) / math.sin(math.pi / 6) for n in range(9)]
     np.testing.assert_allclose(got.real, want, atol=1e-12)
     np.testing.assert_allclose(got.imag, 0.0, atol=1e-12)
-    # Q**12 = 1 makes [6] vanish: the basket's zero is its resonance index
-    assert ops.basket.numbers[6] == 0 and ops.basket.resonance_index == 6
-
-
-def test_custom_basket_validation():
-    with pytest.raises(InvalidParameterError):
-        custom_basket_operators(4, [1.0, 1.0, 2.0, 3.0], q=1.0)
-    with pytest.raises(InvalidParameterError):
-        custom_basket_operators(6, [0.0, 1.0], q=1.0)
+    # Q**12 = 1 makes [6] vanish: the sequence stores it as 0 and flags it
+    seq = qp_sequence(8, DeformationParams(Q, Q))
+    assert got[6] == 0 and seq.numbers[6] == 0 and seq.resonance_index == 6
 
 
 def test_interior_residuals_across_regime_grid():
@@ -163,7 +152,9 @@ def test_operators_share_sequence_with_consumers():
     params = DeformationParams(0.5, cmath.exp(0.4j))
     ops = build_operators(7, params)
     seq = qp_sequence(7, params)
-    np.testing.assert_array_equal(ops.basket.numbers, seq.numbers)
+    np.testing.assert_array_equal(np.diag(ops.delta), seq.numbers[:7])
+    np.testing.assert_array_equal(np.diag(ops.delta_prime),
+                                  seq.numbers[1:] - params.q * seq.numbers[:7])
 
 
 def test_running_products_match_scalar_loops_exactly():
@@ -173,10 +164,9 @@ def test_running_products_match_scalar_loops_exactly():
     for _ in range(29):
         p_pow.append(p_pow[-1] * params.p_inv)
     assert np.diag(ops.p_pow_neg_N).tolist() == p_pow
-    basket = [0j, *[complex(n, -0.5 * n) for n in range(1, 9)]]
-    seq = custom_basket_operators(8, basket, q=1.0).basket
+    seq = qp_sequence(8, params)
     fact, abs_fact = [1 + 0j], [1.0]
-    for value in basket[1:]:
+    for value in seq.numbers[1:].tolist():
         fact.append(fact[-1] * value)
         abs_fact.append(abs_fact[-1] * abs(value))
     assert seq.factorials.tolist() == fact
