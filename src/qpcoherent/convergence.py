@@ -4,7 +4,7 @@ The deformed exponentials and the Wbar series converge simultaneously in two
 parameter regimes, (i) |q| <= 1 with |p| = 1 and (ii) |q| = 1 with |p| >= 1;
 outside them at least one of the series diverges. The tests here corroborate
 that numerically with median ratio estimates computed from log-magnitude term
-sequences (so super-exponential growth never overflows). They are evidence,
+sequences (so super-exponential growth never overflows). They are indications,
 not proof; verdicts near |ratio| = 1 are honestly Inconclusive.
 """
 
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .defexp import convergence_radius
+from .defexp import convergence_radius, growth_rate
 from .errors import InvalidParameterError
 from .qnumbers import DeformationParams, log_abs_numbers
 from .unity import format_float, open_output
@@ -47,7 +47,6 @@ class RatioTestResult:
     estimate: float
     sigma: float
     n_ratios: int
-    tail_samples: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -63,11 +62,9 @@ class Prop1Row:
 
 @dataclass(frozen=True)
 class RegimeVerdict:
-    """One sweep row: classification, per-series verdicts, contradiction flag.
-
-    ``evidence`` holds the trailing term-ratio samples of the worst series
-    evaluation per family, for audit of near-marginal calls.
-    """
+    """One sweep row: classification, per-series verdicts and ratio
+    estimates, boundary margin and contradiction flag, as the reports print
+    them."""
 
     params: DeformationParams
     regime: Regime
@@ -78,7 +75,6 @@ class RegimeVerdict:
     boundary_margin: float
     contradiction: bool
     note: str = ""
-    evidence: dict = None
 
 
 def classify_regime(params: DeformationParams) -> Regime:
@@ -103,8 +99,7 @@ def boundary_margin(params: DeformationParams) -> float:
     are the genuinely hard band: their asymptotic behavior only emerges
     beyond any fixed term budget, so Inconclusive verdicts are honest there.
     """
-    growth = max(abs(params.q), 1.0 / abs(params.p))
-    return abs(growth - 1.0)
+    return abs(growth_rate(params) - 1.0)
 
 
 def ratio_test_logmag(log_terms: np.ndarray, window: int = DEFAULT_WINDOW) -> RatioTestResult:
@@ -127,10 +122,8 @@ def _ratio_kernel(logs: np.ndarray, window: int) -> list[RatioTestResult]:
     log_ratios = np.diff(logs, axis=1)[:, -window:]
     meds = np.median(log_ratios, axis=1).tolist()
     sigs = np.std(log_ratios, axis=1).tolist()
-    with np.errstate(over="ignore"):
-        tails = np.exp(log_ratios[:, -5:]).tolist()
     results = []
-    for med, sig, tail in zip(meds, sigs, tails):
+    for med, sig in zip(meds, sigs):
         if med < -3.0 * sig:
             verdict = RatioVerdict.CONVERGENT
         elif med > 3.0 * sig:
@@ -139,7 +132,7 @@ def _ratio_kernel(logs: np.ndarray, window: int) -> list[RatioTestResult]:
             verdict = RatioVerdict.INCONCLUSIVE
         results.append(RatioTestResult(
             verdict=verdict, estimate=math.exp(med), sigma=sig,
-            n_ratios=log_ratios.shape[1], tail_samples=tuple(tail)))
+            n_ratios=log_ratios.shape[1]))
     return results
 
 
@@ -265,9 +258,7 @@ def proposition2_check(grid: Sequence[DeformationParams],
             estimates=(exp_res.estimate, exp_res.estimate,
                        max(r.estimate for r in wbar_res)),
             boundary_margin=boundary_margin(params),
-            contradiction=contradiction, note=note,
-            evidence={"exp_ratio_tail": exp_res.tail_samples,
-                      "wbar_ratio_tail": wbar_res[-1].tail_samples}))
+            contradiction=contradiction, note=note))
     return rows
 
 

@@ -48,10 +48,6 @@ class SeriesEvaluation:
     tail_bound: float
     verdict: Verdict
 
-    @property
-    def converged(self) -> bool:
-        return self.verdict is Verdict.CONVERGED
-
 
 DEFAULT_CONTROL = SeriesControl()
 
@@ -62,17 +58,21 @@ _NAN = complex(math.nan, math.nan)
 UNIT_MODULUS_TOL = 4 * np.finfo(float).eps
 
 
+def growth_rate(params: DeformationParams) -> float:
+    """max(|q|, 1/|p|): |[n]| grows or decays like its n-th power."""
+    return max(abs(params.q), 1.0 / abs(params.p))
+
+
 def convergence_radius(params: DeformationParams) -> float:
     """Radius of the convergence disk, 1/|q - 1/p|.
 
     On the degenerate branch [n] = n q**(n-1): the radius is +inf for
     |q| >= 1 and 0 for |q| < 1, where both series diverge for every x != 0.
-    The branch holds q within 1e-12 of 1/p, so the larger of |q| and 1/|p|
-    is compared with 1, up to rounding.
+    The branch holds q within 1e-12 of 1/p, so the growth rate is compared
+    with 1, up to rounding.
     """
     if params.is_degenerate:
-        rate = max(abs(params.q), 1.0 / abs(params.p))
-        return math.inf if rate >= 1.0 - UNIT_MODULUS_TOL else 0.0
+        return math.inf if growth_rate(params) >= 1.0 - UNIT_MODULUS_TOL else 0.0
     return 1.0 / abs(params.denom)
 
 

@@ -16,10 +16,10 @@ class RootOfUnityDegeneracyError(QpcError, ArithmeticError):
     unity; every construction dividing by [n]! is then undefined.
     """
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
         super().__init__(
-            message or f"deformed number [{index}] vanishes; division by [{index}]! undefined"
+            f"deformed number [{index}] vanishes; division by [{index}]! undefined"
         )
 
 

@@ -25,12 +25,12 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._quad import adaptive_gl, panel_nodes
-from .defexp import UNIT_MODULUS_TOL, SeriesControl, convergence_radius
+from .defexp import UNIT_MODULUS_TOL, SeriesControl, convergence_radius, growth_rate
 from .errors import (
     IllConditionedError,
     InvalidParameterError,
@@ -93,7 +93,8 @@ class MomentSet:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A recovered auxiliary weight Wt, evaluable anywhere on its support."""
+    """A recovered weight Wt: evaluable anywhere on its support through its
+    basis expansion if it has one; a grid-only weight interpolates its grid."""
 
     support: tuple[float, float]
     basis: Optional[Basis]
@@ -103,19 +104,12 @@ class WeightFunction:
     min_value: float
     method: Method
     diagnostics: dict = field(default_factory=dict)
-    _fourier_nodes: Optional[np.ndarray] = None
-    _fourier_weights: Optional[np.ndarray] = None
 
     def evaluate(self, x) -> np.ndarray:
-        """Wt at arbitrary points, using the richest available representation."""
+        """Wt at arbitrary points: the basis expansion, else the grid interpolant."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.coeffs is not None and self.basis is not None:
             return _basis_values(self.basis, self.coeffs, self.support[1], x)
-        if self._fourier_nodes is not None:
-            out = np.empty(x.size)
-            for rows, phase in _phase_chunks(x.ravel(), self._fourier_nodes):
-                out[rows] = (phase @ self._fourier_weights).real
-            return out / (2.0 * math.pi)
         return np.interp(x, self.grid_x, self.grid_w)
 
 
@@ -187,6 +181,8 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
     stops at the first term n >= min_terms where every ordinate has seen two
     terms in a row below ``tol * max(|total|, 1)``; that n is returned. A
     flagged [n] at or before that term raises RootOfUnityDegeneracyError.
+    A term above 1e140 raises SeriesDivergenceError, named as cancellation
+    where |[n]| stays bounded (growth rate 1 or less, off the degenerate set).
     """
     y = np.asarray(y, dtype=float)
     iy = 1j * y
@@ -215,17 +211,17 @@ def _wbar_values(y: np.ndarray, params: DeformationParams,
                 raise RootOfUnityDegeneracyError(n + int(zero[0]) + 1)
             if hit.size:
                 r = int(hit[0])
+                reach = f"|y| up to {float(np.max(np.abs(y))):.3g}; reduce y_cut"
                 if diverged[r]:
-                    raise SeriesDivergenceError(
-                        "Wbar series diverges for these parameters; no inverse transform"
-                    )
+                    if params.is_degenerate or growth_rate(params) > 1.0 + UNIT_MODULUS_TOL:
+                        raise SeriesDivergenceError("Wbar series diverges for these "
+                                                    "parameters; no inverse transform")
+                    raise SeriesDivergenceError(f"Wbar cancellation: terms pass 1e+140 at {reach}")
                 noise = np.max(WBAR_ROUNDING * peaks[r]
                                / np.maximum(np.abs(totals[r]), 1e-300))
                 if noise > WBAR_NOISE_LIMIT:
                     raise SeriesDivergenceError(
-                        f"Wbar cancellation noise {noise:.2e} at |y| up to "
-                        f"{float(np.max(np.abs(y))):.3g}; reduce y_cut"
-                    )
+                        f"Wbar cancellation noise {noise:.2e} at {reach}")
                 return totals[r].copy(), n + r + 1
             term, total, peak, small = terms[-1], totals[-1], peaks[-1], smalls[-1]
             n, depth = n + rows, 2 * depth
@@ -458,48 +454,33 @@ def _transform(x: np.ndarray, ys: np.ndarray, vals: np.ndarray,
     return F
 
 
-def weight_from_fourier(
-    params: DeformationParams,
-    y_cut: float,
-    damping: float,
-    x_grid: np.ndarray | None = None,
-    *,
-    wbar: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> WeightFunction:
-    """(1/2pi) integral_{-Y}^{Y} exp(-iyx) exp(-eps y^2) Wbar(y) dy on a grid.
+def weight_from_fourier(params: DeformationParams, y_cut: float, damping: float,
+                        x_grid: np.ndarray) -> WeightFunction:
+    """(1/2pi) integral_{-Y}^{Y} exp(-iyx) exp(-eps y^2) Wbar(y) dy on x_grid.
 
-    ``wbar`` overrides the series evaluator (used with closed forms). On the
-    classical degenerate branch the exact transform 1/(pi (1 - iy)) is used,
-    since the series is just its Taylor expansion at 0. The imaginary part of
-    the result and the window decay |Wbar(+-Y)| exp(-eps Y^2) are reported as
-    diagnostics, and neither raises or warns. Each panel-doubling sweep
-    reduces bounded x-row chunks of exp(-iyx) straight into the result, so
-    memory does not grow with the panel count; the converged sweep's Wbar
-    values give the stored weights.
+    Needs 0 < Y < inf and 0 < eps < inf. On the classical degenerate branch
+    the exact transform 1/(pi (1 - iy)) is used, since the series is just its
+    Taylor expansion at 0. The imaginary part of the result and the window
+    decay |Wbar(+-Y)| exp(-eps Y^2) are reported as diagnostics, and neither
+    raises or warns. Each panel-doubling sweep reduces bounded x-row chunks
+    of exp(-iyx) straight into the result, so memory does not grow with the
+    panel count. The result is grid-only: ``evaluate`` interpolates the grid.
     Sweeps use 64-node panels and stop at a relative agreement of 1e-6 within
     1024 panels.
     """
-    if y_cut <= 0 or damping <= 0:
-        raise InvalidParameterError("y_cut and damping must be positive")
+    if not (0 < y_cut < math.inf and 0 < damping < math.inf):
+        raise InvalidParameterError("y_cut and damping must be positive and finite")
     radius = convergence_radius(params)
     _require_disk(radius)
-    if x_grid is None:
-        span = radius if math.isfinite(radius) else 20.0
-        x_grid = np.linspace(0.0, span, 513, endpoint=False)
     x_grid = np.asarray(x_grid, dtype=float)
 
-    if wbar is not None:
-        wbar_fn = wbar
-    elif params.is_degenerate and abs(abs(params.q) - 1.0) < 1e-9:
+    if params.is_degenerate and abs(abs(params.q) - 1.0) < 1e-9:
         wbar_fn = lambda y: 1.0 / (math.pi * (1.0 - 1j * np.asarray(y)))
     else:
         wbar_fn = lambda y: _wbar_values(y, params)[0]
 
-    sweep = {}   # nodes, weights and Wbar values of the latest sweep
-
     def integrand(ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        sweep.update(ys=ys, ws=ws, wbar=wbar_fn(ys))
-        return _transform(x_grid, ys, sweep["wbar"] * np.exp(-damping * ys ** 2), ws)
+        return _transform(x_grid, ys, wbar_fn(ys) * np.exp(-damping * ys ** 2), ws)
 
     F, panels = adaptive_gl(integrand, -y_cut, y_cut, rtol=1e-6)
     F = F / (2.0 * math.pi)
@@ -508,10 +489,8 @@ def weight_from_fourier(
     window_decay = float(np.max(np.abs(wbar_fn(edge))) *
                          math.exp(-damping * y_cut ** 2))
 
-    ys = sweep["ys"]
-    fw = sweep["ws"] * sweep["wbar"] * np.exp(-damping * ys ** 2)
     wtilde = F.real
-    for arr in (x_grid, wtilde, ys, fw):
+    for arr in (x_grid, wtilde):
         arr.flags.writeable = False
     return WeightFunction(
         support=(0.0, radius), basis=None, coeffs=None,
@@ -525,8 +504,6 @@ def weight_from_fourier(
             "window_decay": window_decay,
             "grid_imag": F.imag,
         },
-        _fourier_nodes=ys,
-        _fourier_weights=fw,
     )
 
 
@@ -537,7 +514,6 @@ def physical_weight(wtilde: WeightFunction, params: DeformationParams
     w_phys = wtilde.grid_w * vals
     w_phys.flags.writeable = False
     diag = dict(wtilde.diagnostics)
-    diag["physical"] = True
     diag["exp2_terms"] = terms
     diag["exp2_tail_bound"] = tail
     return WeightFunction(

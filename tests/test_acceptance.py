@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per release criterion, with printed evidence.
+"""Acceptance suite: one test per release criterion, with printed measurements.
 
 Every tolerance is pinned here, not tuned elsewhere. Criterion 5's
 cross-method clause is implemented faithfully and marked as a strict

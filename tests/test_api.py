@@ -61,17 +61,17 @@ SIGNATURES = {
     'QNumberSequence': "(params: 'DeformationParams', n_max: 'int', numbers: 'np.ndarray', factorials: 'np.ndarray', abs_factorials: 'np.ndarray', overflow_index: 'Optional[int]' = None, resonance_index: 'Optional[int]' = None) -> None",
     'QpcError': '(*args)',
     'QuadratureError': '(*args)',
-    'RatioTestResult': "(verdict: 'RatioVerdict', estimate: 'float', sigma: 'float', n_ratios: 'int', tail_samples: 'tuple[float, ...]' = ()) -> None",
+    'RatioTestResult': "(verdict: 'RatioVerdict', estimate: 'float', sigma: 'float', n_ratios: 'int') -> None",
     'RatioVerdict': 'Convergent|Divergent|Inconclusive',
     'Regime': 'RegimeI|RegimeII|Degenerate|Outside',
-    'RegimeVerdict': "(params: 'DeformationParams', regime: 'Regime', v_exp1: 'Optional[RatioVerdict]', v_exp2: 'Optional[RatioVerdict]', v_wbar: 'Optional[RatioVerdict]', estimates: 'tuple[float, float, float]', boundary_margin: 'float', contradiction: 'bool', note: 'str' = '', evidence: 'dict' = None) -> None",
+    'RegimeVerdict': "(params: 'DeformationParams', regime: 'Regime', v_exp1: 'Optional[RatioVerdict]', v_exp2: 'Optional[RatioVerdict]', v_wbar: 'Optional[RatioVerdict]', estimates: 'tuple[float, float, float]', boundary_margin: 'float', contradiction: 'bool', note: 'str' = '') -> None",
     'RelationReport': "(residual_qmutation: 'float', residual_delta_comm: 'float', residual_adag_comm: 'float', residual_qp: 'float', block_dim: 'int') -> None",
-    'RootOfUnityDegeneracyError': '(index: int, message: str | None = None)',
+    'RootOfUnityDegeneracyError': '(index: int)',
     'SeriesControl': "(n_max: 'int' = 500, tol: 'float' = 1e-12, min_terms: 'int' = 10) -> None",
     'SeriesDivergenceError': '(*args)',
     'SeriesEvaluation': "(value: 'complex', terms_used: 'int', tail_bound: 'float', verdict: 'Verdict') -> None",
     'Verdict': 'Converged|Truncated|DivergentInput',
-    'WeightFunction': "(support: 'tuple[float, float]', basis: 'Optional[Basis]', coeffs: 'Optional[np.ndarray]', grid_x: 'np.ndarray', grid_w: 'np.ndarray', min_value: 'float', method: 'Method', diagnostics: 'dict' = <factory>, _fourier_nodes: 'Optional[np.ndarray]' = None, _fourier_weights: 'Optional[np.ndarray]' = None) -> None",
+    'WeightFunction': "(support: 'tuple[float, float]', basis: 'Optional[Basis]', coeffs: 'Optional[np.ndarray]', grid_x: 'np.ndarray', grid_w: 'np.ndarray', min_value: 'float', method: 'Method', diagnostics: 'dict' = <factory>) -> None",
     'annihilator_residual': "(state: 'CoherentState', ops: 'FockOperators') -> 'float'",
     'boundary_margin': "(params: 'DeformationParams') -> 'float'",
     'build_operators': "(dim: 'int', params: 'DeformationParams') -> 'FockOperators'",
@@ -95,7 +95,7 @@ SIGNATURES = {
     'relation_residuals': "(ops: 'FockOperators') -> 'RelationReport'",
     'resolution_residual': "(weight: 'WeightFunction', params: 'DeformationParams', dim: 'int') -> 'float'",
     'target_moments': "(params: 'DeformationParams', n_max: 'int') -> 'MomentSet'",
-    'weight_from_fourier': "(params: 'DeformationParams', y_cut: 'float', damping: 'float', x_grid: 'np.ndarray | None' = None, *, wbar: 'Optional[Callable[[np.ndarray], np.ndarray]]' = None) -> 'WeightFunction'",
+    'weight_from_fourier': "(params: 'DeformationParams', y_cut: 'float', damping: 'float', x_grid: 'np.ndarray') -> 'WeightFunction'",
     'weight_from_moments': "(moments: 'MomentSet', degree: 'int', *, grid_points: 'int' = 801, x_max: 'float | None' = None) -> 'WeightFunction'",
     'weight_to_csv': "(weight: 'WeightFunction', params: 'DeformationParams', file_or_path) -> 'None'",
     'weight_to_json': "(weight: 'WeightFunction', file_or_path) -> 'None'",

@@ -234,6 +234,40 @@ def test_weight_fourier_at_a_root_of_unity_is_error(tmp_path, capsys, fmt):
     assert err == ["error: deformed number [2] vanishes; division by [2]! undefined"]
 
 
+FOURIER = ["weight", "--method", "fourier", "--grid-points", "5"]
+
+
+@pytest.mark.parametrize("ycut, damping", [("10", "inf"), ("nan", "1e-3"),
+                                           ("inf", "1e-3"), ("10", "nan")])
+def test_weight_fourier_non_finite_window_is_usage_error(capsys, ycut, damping):
+    # these gave an all-zero weight, 4 000 Wbar terms and then "not
+    # converged", a raw numpy RuntimeWarning, and a quadrature failure
+    code = main([*FOURIER, "--q", "0.5", "--p", "1", "--ycut", ycut,
+                 "--damping", damping])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: y_cut and damping must be positive and finite"]
+
+
+@pytest.mark.parametrize("q, p, ycut, reason", [
+    ("0.9", "1", "60", "Wbar cancellation: terms pass 1e+140 at |y| up to 60; "
+                       "reduce y_cut"),
+    ("2", "1", "5", "Wbar series diverges"),
+    ("2", "0.5", "5", "Wbar series diverges"),
+])
+def test_weight_fourier_guard_names_cancellation_or_divergence(capsys, q, p, ycut,
+                                                               reason):
+    # at (0.9, 1) |[n]| stays bounded, so Wbar converges for every y, but its
+    # terms peak near exp(R y) = e**600; at (2, 1) and (2, 0.5) |[n]| grows
+    # like 2**n and the series diverges
+    code = main([*FOURIER, "--q", q, "--p", p, "--ycut", ycut])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {reason}")
+
+
 def test_verify_classical_passes(tmp_path):
     code, text = run_cli(["verify", "--q", "1", "--p", "1", "--dim", "20"],
                          tmp_path)

@@ -285,9 +285,7 @@ def _ref_prop2(grid, ys, n_terms=300, window=50):
             params=params, regime=regime, v_exp1=v_exp, v_exp2=v_exp,
             v_wbar=v_wbar,
             estimates=(exp.estimate, exp.estimate, max(r.estimate for r in wbar)),
-            boundary_margin=margin, contradiction=contradiction, note=note,
-            evidence={"exp_ratio_tail": exp.tail_samples,
-                      "wbar_ratio_tail": wbar[-1].tail_samples}))
+            boundary_margin=margin, contradiction=contradiction, note=note))
     return rows
 
 

@@ -22,14 +22,10 @@ from qpcoherent import (
 )
 from qpcoherent import unity
 from qpcoherent._quad import panel_nodes
-from qpcoherent.defexp import SeriesControl
+from qpcoherent.defexp import UNIT_MODULUS_TOL, SeriesControl
 from qpcoherent.qnumbers import iter_numbers
 
 CLASSICAL = DeformationParams(1.0, 1.0)
-
-
-def closed_wbar(y):
-    return 1.0 / (math.pi * (1.0 - 1j * np.asarray(y)))
 
 
 # ----------------------------------------------------------------------
@@ -89,8 +85,16 @@ def wbar_loop(y, params, ctrl):
         at = np.abs(term)
         peak = np.maximum(peak, at)
         if np.max(at) > 1e140:
+            # |[n]| stays bounded off the degenerate set where
+            # max(|q|, 1/|p|) <= 1: the series converges and cancels
+            rate = max(abs(params.q), 1.0 / abs(params.p))
+            if params.is_degenerate or rate > 1.0 + UNIT_MODULUS_TOL:
+                raise SeriesDivergenceError(
+                    "Wbar series diverges for these parameters; no inverse transform"
+                )
             raise SeriesDivergenceError(
-                "Wbar series diverges for these parameters; no inverse transform"
+                f"Wbar cancellation: terms pass 1e+140 at |y| up to "
+                f"{float(np.max(np.abs(y))):.3g}; reduce y_cut"
             )
         small = at <= ctrl.tol * np.maximum(np.abs(total), 1.0)
         streak = np.where(small, streak + 1, 0)
@@ -140,6 +144,13 @@ def wbar_cases(count, seed=20261018):
         ])
         yield (DeformationParams(q, p), rng.uniform(0.5, 30.0),
                rng.choice([1, 2, 4, 16]), ctrl, rng.choice([None, 1, 5000]))
+    # |[n]| bounded (max(|q|, 1/|p|) <= 1) with R y_cut past about 330: the
+    # convergent series' terms pass the 1e140 guard
+    full = SeriesControl(n_max=4000, tol=1e-12, min_terms=10)
+    for q, p, y_cut, block_bytes in ((0.9, 1.0, 60.0, None), (0.95, 1.0, 20.0, 1),
+                                     (0.6 + 0.3j, 1.0, 200.0, 5000),
+                                     (cmath.exp(0.7j), 1.5, 300.0, None)):
+        yield DeformationParams(q, p), y_cut, 2, full, block_bytes
 
 
 def test_block_wbar_equals_term_loop(monkeypatch):
@@ -153,7 +164,8 @@ def test_block_wbar_equals_term_loop(monkeypatch):
         seen.add(expected[1].split()[2] if expected[0] == "SeriesDivergenceError"
                  else expected[0])
     # the seeded cases reach every outcome of the kernel
-    assert seen == {"value", "diverges", "noise", "not", "RootOfUnityDegeneracyError"}
+    assert seen == {"value", "diverges", "terms", "noise", "not",
+                    "RootOfUnityDegeneracyError"}
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +177,7 @@ def test_fourier_route_memory_does_not_grow_with_panels():
     xg = np.linspace(0.0, 20.0, 1025, endpoint=False)
     tracemalloc.start()
     try:
-        w = weight_from_fourier(CLASSICAL, 400.0, 1e-4, xg, wbar=closed_wbar)
+        w = weight_from_fourier(CLASSICAL, 400.0, 1e-4, xg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -174,13 +174,6 @@ def test_fourier_vanishes_left_of_support():
     assert np.max(np.abs(w.grid_w)) <= 1e-3
 
 
-def test_fourier_accepts_custom_wbar():
-    xg = np.linspace(0.3, 4.0, 32)
-    closed = lambda y: 1.0 / (math.pi * (1.0 - 1j * np.asarray(y)))
-    w = weight_from_fourier(CLASSICAL, 300.0, 1e-3, xg, wbar=closed)
-    np.testing.assert_allclose(w.grid_w, np.exp(-xg) / math.pi, atol=1e-3)
-
-
 def test_fourier_warns_on_non_decaying_window():
     xg = np.linspace(0.0, 2.0, 16, endpoint=False)
     # reported as a diagnostic, not as a warning (any warning fails a test)
@@ -196,10 +189,11 @@ def test_fourier_cancellation_wall_reported():
 
 
 def test_fourier_validates_regularization():
-    with pytest.raises(InvalidParameterError):
-        weight_from_fourier(QUON, y_cut=-1.0, damping=1e-3)
-    with pytest.raises(InvalidParameterError):
-        weight_from_fourier(QUON, y_cut=10.0, damping=0.0)
+    xg = np.linspace(0.0, 2.0, 5, endpoint=False)
+    for y_cut, damping in ((-1.0, 1e-3), (10.0, 0.0), (math.inf, 1e-3),
+                           (math.nan, 1e-3), (10.0, math.inf), (10.0, math.nan)):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            weight_from_fourier(QUON, y_cut, damping, xg)
 
 
 def test_fourier_evaluate_matches_grid():
@@ -335,7 +329,7 @@ def test_zero_radius_has_no_weight():
     with pytest.raises(SeriesDivergenceError, match="radius is 0"):
         weight_from_moments(target_moments(params, 24), 12)
     with pytest.raises(SeriesDivergenceError, match="radius is 0"):
-        weight_from_fourier(params, 12.0, 1e-2)
+        weight_from_fourier(params, 12.0, 1e-2, np.linspace(0.0, 1.0, 5))
 
 
 def test_resolution_residual_classical():
