@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import adaptive_gl, panel_nodes
+from ._quad import _gl_rule, adaptive_gl, panel_nodes
 from .defexp import UNIT_MODULUS_TOL, SeriesControl, convergence_radius, growth_rate
 from .errors import (
     IllConditionedError,
@@ -130,6 +130,16 @@ def _require_disk(radius: float) -> None:
 def format_float(v: float) -> str:
     """Fixed 17-significant-digit scientific notation for diffable output."""
     return f"{v:.16e}"
+
+
+def _format_grid(columns: list[np.ndarray]) -> str:
+    """One line per grid point: its values in the columns, comma-separated.
+
+    One %-format call writes the whole table; '%.16e' and ``format_float``
+    go through the same 'e' conversion, so each value reads as it writes it.
+    """
+    line = ",".join(["%.16e"] * len(columns)) + "\n"
+    return (line * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())
 
 
 @contextmanager
@@ -423,34 +433,30 @@ def weight_from_moments(moments: MomentSet, degree: int, *,
 # regularized Fourier inversion
 
 
-def _phase_chunks(x: np.ndarray, ys: np.ndarray):
-    """Yield (rows, exp(-i x[rows] y)) over x-row chunks of bounded size.
-
-    A chunk holds about ``_BLOCK_BYTES`` of complex values, filled from
-    cos and sin of the phases (bit for bit what np.exp(-1j * phase) gives).
-    Every chunk but the last has a multiple of 4 rows, and the last holds the
-    len(x) % 4 leftover rows plus at least 4 more (one chunk below 8 rows):
-    BLAS matrix-vector kernels work on groups of 4 rows, so ``chunk @ v``
-    equals the rows of the whole product bit for bit under that split.
-    """
-    step = max(4, _BLOCK_BYTES // (16 * max(len(ys), 1)) // 4 * 4)
-    edges = [*range(0, max(len(x) - len(x) % 4 - 4, 1), step), len(x)]
-    for a, b in zip(edges, edges[1:]):
-        theta = np.outer(x[a:b], ys)
-        phase = np.empty(theta.shape, dtype=complex)
-        np.cos(theta, out=phase.real)
-        np.sin(theta, out=phase.imag)
-        np.negative(phase.imag, out=phase.imag)
-        yield slice(a, b), phase
-
-
 def _transform(x: np.ndarray, ys: np.ndarray, vals: np.ndarray,
                ws: np.ndarray) -> np.ndarray:
-    """(exp(-i x y) * vals) @ ws, one bounded x-row chunk at a time."""
+    """(exp(-i x y) * vals) @ ws on the nodes ys of equal 64-node panels.
+
+    A node is y = c + h t, with c its panel's centre, h the shared half-width
+    and t a Gauss-Legendre node, so exp(-i x y) = exp(-i x c) exp(-i x h t):
+    each x-row chunk takes one (rows x 64) @ (64 x panels) product of the
+    offset phases with the panels' vals * ws, weighted by the centre phases.
+    The nodes t are antisymmetric, so half the offset phases are conjugates
+    of the other half. A chunk holds at most about ``_BLOCK_BYTES`` of
+    complex values per table.
+    """
+    t = _gl_rule(64)[0]
+    g = (vals * ws).reshape(-1, t.size)
+    y = ys.reshape(g.shape)
+    centres = 0.5 * (y[:, 0] + y[:, -1])
+    offsets = 0.5 * (y[0, -1] - y[0, 0]) / t[-1] * t[:t.size // 2]
+    step = max(1, _BLOCK_BYTES // (16 * max(*g.shape)))
     F = np.empty(len(x), dtype=complex)
-    for rows, phase in _phase_chunks(x, ys):
-        phase *= vals
-        F[rows] = phase @ ws
+    for a in range(0, len(x), step):
+        xs = x[a:a + step, None]
+        half = np.exp(-1j * (xs * offsets))
+        table = np.concatenate([half, np.conj(half[:, ::-1])], axis=1)
+        F[a:a + step] = np.sum(np.exp(-1j * (xs * centres)) * (table @ g.T), axis=1)
     return F
 
 
@@ -462,17 +468,19 @@ def weight_from_fourier(params: DeformationParams, y_cut: float, damping: float,
     the exact transform 1/(pi (1 - iy)) is used, since the series is just its
     Taylor expansion at 0. The imaginary part of the result and the window
     decay |Wbar(+-Y)| exp(-eps Y^2) are reported as diagnostics, and neither
-    raises or warns. Each panel-doubling sweep reduces bounded x-row chunks
-    of exp(-iyx) straight into the result, so memory does not grow with the
-    panel count. The result is grid-only: ``evaluate`` interpolates the grid.
-    Sweeps use 64-node panels and stop at a relative agreement of 1e-6 within
-    1024 panels.
+    raises or warns. Sweeps use 64-node panels and stop at a relative
+    agreement of 1e-6 within 1024 panels. Each sweep factors exp(-iyx) by
+    panel (see ``_transform``): over G points and P panels it evaluates
+    G (P + 32) complex exponentials rather than G 64 P, and holds bounded
+    x-row chunks only, so memory does not grow with the panel count. The
+    result is grid-only, on a read-only copy of x_grid: ``evaluate``
+    interpolates it.
     """
     if not (0 < y_cut < math.inf and 0 < damping < math.inf):
         raise InvalidParameterError("y_cut and damping must be positive and finite")
     radius = convergence_radius(params)
     _require_disk(radius)
-    x_grid = np.asarray(x_grid, dtype=float)
+    x_grid = np.array(x_grid, dtype=float)
 
     if params.is_degenerate and abs(abs(params.q) - 1.0) < 1e-9:
         wbar_fn = lambda y: 1.0 / (math.pi * (1.0 - 1j * np.asarray(y)))
@@ -616,9 +624,7 @@ def weight_to_csv(weight: WeightFunction, params: DeformationParams,
         columns = [weight.grid_x, weight.grid_w, phys.grid_w]
         if imag is not None:
             columns.append(imag)
-        # Python floats format as numpy's do, and faster
-        for row in zip(*(c.tolist() for c in columns)):
-            fh.write(",".join(map(format_float, row)) + "\n")
+        fh.write(_format_grid(columns))
 
 
 def weight_to_json(weight: WeightFunction, file_or_path) -> None:
@@ -636,8 +642,8 @@ def weight_to_json(weight: WeightFunction, file_or_path) -> None:
             if not isinstance(v, np.ndarray)
         },
         "grid": {
-            "x": list(map(format_float, weight.grid_x.tolist())),
-            "wtilde": list(map(format_float, weight.grid_w.tolist())),
+            "x": _format_grid([weight.grid_x]).split(),
+            "wtilde": _format_grid([weight.grid_w]).split(),
         },
     }
     with open_output(file_or_path) as fh:

@@ -1,8 +1,11 @@
-"""Byte identity and memory bounds of the Fourier route's kernels.
+"""Accuracy, byte identity and memory bounds of the Fourier route's kernels.
 
-The chunked exp(-i x y) transform and the block Wbar kernel are checked
-against in-test copies of the dense product and of the term-by-term loop
-they replace. Results are compared with ``.tobytes()``: ``array_equal``
+The panel-factored exp(-i x y) transform is checked against an in-test copy
+of the dense product, alone and through the whole route, within a bound of
+1e-13 (alone) or 1e-12 (route) of the largest value: factoring each phase
+by panel rounds differently from the dense product. The block Wbar kernel
+does the term-by-term loop's arithmetic in the same order, so it is checked
+against an in-test copy of that loop with ``.tobytes()``: ``array_equal``
 treats -0.0 and +0.0 as equal.
 """
 
@@ -29,7 +32,7 @@ CLASSICAL = DeformationParams(1.0, 1.0)
 
 
 # ----------------------------------------------------------------------
-# chunked transform
+# panel-factored transform
 
 
 def dense_transform(x, ys, vals, ws):
@@ -37,9 +40,9 @@ def dense_transform(x, ys, vals, ws):
 
 
 @pytest.mark.parametrize("panels", (1, 2, 4, 16))
-@pytest.mark.parametrize("block_bytes", (None, 1))
-def test_chunked_transform_equals_dense_product(panels, block_bytes, monkeypatch):
-    # block_bytes = 1 forces 4-row chunks, so every grid below is split
+@pytest.mark.parametrize("block_bytes", (None, 1, 5000))
+def test_transform_matches_dense_product(panels, block_bytes, monkeypatch):
+    # block_bytes = 1 gives one-row chunks, 5000 four-row chunks
     if block_bytes is not None:
         monkeypatch.setattr(unity, "_BLOCK_BYTES", block_bytes)
     ys, ws = panel_nodes(-12.0, 12.0, panels, 64)
@@ -47,21 +50,35 @@ def test_chunked_transform_equals_dense_product(panels, block_bytes, monkeypatch
     vals = vals * np.exp(-2e-2 * ys ** 2)
     for G in (*range(1, 13), *range(63, 68), *range(513, 517), 1025, 1027):
         x = np.linspace(0.0, 2.0, G, endpoint=False)
-        got = unity._transform(x, ys, vals, ws)
-        assert got.tobytes() == dense_transform(x, ys, vals, ws).tobytes(), G
+        expected = dense_transform(x, ys, vals, ws)
+        error = np.max(np.abs(unity._transform(x, ys, vals, ws) - expected))
+        assert error <= 1e-13 * np.max(np.abs(expected)), (G, error)
 
 
-def test_phase_chunks_follow_the_four_row_rule(monkeypatch):
-    monkeypatch.setattr(unity, "_BLOCK_BYTES", 1)
-    for G in (*range(1, 40), 513, 1027):
-        sizes = [rows.stop - rows.start
-                 for rows, _ in unity._phase_chunks(np.zeros(G), np.zeros(64))]
-        assert sum(sizes) == G
-        if G < 8:
-            assert sizes == [G]
-        else:
-            assert all(s % 4 == 0 for s in sizes[:-1])
-            assert sizes[-1] >= 4 + G % 4
+def fourier_route_cases(seed=20261019):
+    # quons as the benchmark draws them (R y_cut in [12, 24]) and the
+    # classical point (y_cut in [8, 24]) on its CLI grid [0, 20)
+    rng = random.Random(seed)
+    for G in (7, 513, 1027):
+        for _ in range(2):
+            q = rng.uniform(0.3, 0.6)
+            radius = 1.0 / (1.0 - q)
+            yield (DeformationParams(q, 1.0), rng.uniform(12.0, 24.0) / radius,
+                   rng.uniform(1e-2, 3e-2), np.linspace(0.0, radius, G, endpoint=False))
+        yield (CLASSICAL, rng.uniform(8.0, 24.0), rng.uniform(1e-3, 3e-2),
+               np.linspace(0.0, 20.0, G, endpoint=False))
+
+
+def test_fourier_route_matches_dense_transform(monkeypatch):
+    for params, y_cut, damping, xg in fourier_route_cases():
+        got = weight_from_fourier(params, y_cut, damping, xg)
+        with monkeypatch.context() as m:
+            m.setattr(unity, "_transform", dense_transform)
+            expected = weight_from_fourier(params, y_cut, damping, xg)
+        case = (params, y_cut, damping, len(xg))
+        assert got.diagnostics["panels"] == expected.diagnostics["panels"], case
+        error = np.max(np.abs(got.grid_w - expected.grid_w))
+        assert error <= 1e-12 * np.max(np.abs(expected.grid_w)), (case, error)
 
 
 # ----------------------------------------------------------------------

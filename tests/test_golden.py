@@ -10,6 +10,8 @@ To record the file again (only when an output change is intended and written
 down), run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+It prints every command whose hash or exit code changed, old -> new.
 """
 
 import contextlib
@@ -66,8 +68,9 @@ COMMANDS = [
     ["weight", "--q", "0.5", "--p", "1", "--method", "fourier", "--ycut", "12",
      "--damping", "2e-2", "--format", "json"],
     ["weight", "--q", "1", "--p", "1", "--method", "fourier", "--format", "json"],
-    # Fourier transform chunk edges: grids of G = 7 (one chunk), G mod 4 = 2,
-    # 0 and 3, a quon that needs 8 panels, and a CSV with its wtilde_imag column
+    # Fourier grids of G = 7, 514, 516 and 1027 (past one x-row chunk of the
+    # transform), a quon that needs 8 panels, and a CSV with its wtilde_imag
+    # column
     *(["weight", "--q", "0.5", "--p", "1", "--method", "fourier", "--ycut", "12",
        "--damping", "2e-2", "--grid-points", g, "--format", "json"]
       for g in ("7", "514", "516", "1027")),
@@ -138,6 +141,13 @@ def test_golden_file_lists_every_command():
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    DATA.write_text(json.dumps({**_versions(),
-                                "commands": [_run(a) for a in COMMANDS]},
+    before = {tuple(e["argv"]): e for e in _load()["commands"]} if DATA.exists() else {}
+    entries = [_run(a) for a in COMMANDS]
+    for entry in entries:
+        old = before.get(tuple(entry["argv"]))
+        if old != entry:
+            was = f"{old['sha256']} exit {old['exit']}" if old else "new"
+            print(f"{' '.join(entry['argv'])}\n  {was} -> "
+                  f"{entry['sha256']} exit {entry['exit']}")
+    DATA.write_text(json.dumps({**_versions(), "commands": entries},
                                indent=1) + "\n", encoding="utf-8")

@@ -202,6 +202,15 @@ def test_fourier_evaluate_matches_grid():
     np.testing.assert_allclose(w.evaluate(xg), w.grid_w, atol=1e-13)
 
 
+def test_fourier_leaves_the_callers_grid_writable():
+    xg = np.linspace(0.0, 2.0, 9)
+    w = weight_from_fourier(QUON, y_cut=12.0, damping=8e-3, x_grid=xg)
+    assert xg.flags.writeable
+    assert w.grid_x is not xg and not np.shares_memory(w.grid_x, xg)
+    assert not w.grid_x.flags.writeable
+    np.testing.assert_array_equal(w.grid_x, xg)
+
+
 def test_fourier_damping_refinement_ladder():
     xg = np.linspace(0.3, 4.0, 48)
     weights = [weight_from_fourier(CLASSICAL, 300.0, eps, xg)
@@ -458,3 +467,18 @@ def test_grids_format_from_python_floats_as_from_numpy_scalars():
     rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
     columns = (x, specials, phys, specials[::-1])
     assert rows == [[f"{c[i]:.16e}" for c in columns] for i in range(len(x))]
+
+
+def test_grid_formatter_writes_each_value_as_format_float():
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072009e-308, -1e-310]
+    # random bit patterns reach every exponent, subnormals and nans included
+    bits = np.random.default_rng(20261019).integers(0, 2 ** 64, 10_000,
+                                                   dtype=np.uint64)
+    values = np.concatenate([specials, bits.view(np.float64)])
+    expected = [unity.format_float(v) for v in values.tolist()]
+    assert unity._format_grid([values]).split() == expected
+    columns = [values, values[::-1], -values]
+    rows = [",".join(map(unity.format_float, row)) + "\n"
+            for row in zip(*(c.tolist() for c in columns))]
+    assert unity._format_grid(columns) == "".join(rows)
