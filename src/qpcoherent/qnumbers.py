@@ -2,12 +2,13 @@
 
 The deformation replaces the integer n by
 
-    [n] = (q**n - p**(-n)) / (q - 1/p),
+    [n] = (q**n - p**(-n)) / (q - 1/p) = l**(n-1) S_n,  S_n = sum_{k<n} r**k,
 
-with the analytic limit n * q**(n-1) on the degenerate set q = 1/p (which
-contains the classical point q = p = 1, where [n] = n). Factorials of these
-numbers and their moduli feed every other module: ladder matrices, deformed
-exponentials and the weight-function moments.
+with (l, r) = (1/p, qp) where |qp| <= 1 and (q, 1/(qp)) otherwise, so |r| <= 1
+and nothing divides by q - 1/p. On the degenerate set q = 1/p (it contains the
+classical point q = p = 1) r = 1, S_n = n and [n] = n q**(n-1). Factorials of
+these numbers and their moduli feed every other module: ladder matrices,
+deformed exponentials and the weight-function moments.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from .errors import InvalidParameterError
 #: |q - 1/p| below this is treated as the degenerate (classical-like) branch.
 DEGENERACY_THRESHOLD = 1e-12
 
-#: Relative cancellation level at which q**n - p**(-n) counts as an exact zero
-#: (q*p at a root of unity). The direct formula has no correct digits there.
-#: The one resonance rule: the store's builder and ``log_abs_numbers`` (and
-#: through it the regime sweeps) flag the same n.
+#: Relative cancellation level at which S_n counts as an exact zero (q*p at a
+#: root of unity): the one resonance rule, |S_n| <= RESONANCE_RTOL * n, read
+#: only by ``_partial_sums``, so the store and ``log_abs_numbers`` (and through
+#: it the regime sweeps) flag the same n.
 RESONANCE_RTOL = 1e-12
 
 #: terms the per-process store keeps over all (q, p): one [n] array (0 where
@@ -68,8 +69,8 @@ class QNumberSequence:
     ``abs_factorials`` is the running product of |[k]| (not |factorials|
     recomputed); the two agree to rounding. ``overflow_index`` is the first n
     whose factorial is no longer finite in double precision, ``resonance_index``
-    the first n >= 1 whose [n] is zero or a catastrophic cancellation; such an
-    [n] is stored as an exact 0, and ``numbers[1:]`` is 0 nowhere else.
+    the first n >= 1 the resonance rule flags; such an [n] is stored as an
+    exact 0, and ``numbers[1:]`` is 0 nowhere else but below double range.
     """
 
     params: DeformationParams
@@ -97,55 +98,51 @@ def _moduli(z: np.ndarray) -> np.ndarray:
     return np.abs(np.hypot(z.real, z.imag))
 
 
+def _factors(params: DeformationParams) -> tuple[complex, complex]:
+    """(l, r) with [n] = l**(n-1) sum_{k<n} r**k and |r| <= 1."""
+    qp = params.q * params.p
+    return (params.p_inv, qp) if abs(qp) <= 1.0 else (params.q, 1.0 / qp)
+
+
+def _partial_sums(r: complex, count: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_n, |S_n| and the one resonance rule, |S_n| <= RESONANCE_RTOL n, for
+    n = 1..count.
+
+    n is the scale sum |r|**k of the terms wherever S_n can cancel, as |r| is 1
+    there; and |S_n| <= n, so an overflowed [n] is never flagged."""
+    sums = np.full(count, r)
+    sums[:1] = 1.0   # running powers 1, r, r**2, ... in place, then their sums
+    np.cumsum(np.cumprod(sums, out=sums), out=sums)
+    moduli = _moduli(sums)
+    return sums, moduli, moduli <= RESONANCE_RTOL * np.arange(1, count + 1)
+
+
 def _build(params: DeformationParams, count: int
            ) -> tuple[np.ndarray, np.ndarray]:
-    """[n] and its resonance flag for n = 1..count, as arrays.
-
-    A flagged [n] is an exact zero or, off the degenerate set, a numerator
-    cancellation below RESONANCE_RTOL relative to its natural scale,
-    |q**n| + |p**(-n)|, where that scale is finite: an overflowed power is
-    not a cancellation. Callers dividing by [n] must treat it as zero.
-    The division by q - 1/p applies CPython's rule for complex division
-    (Smith, CACM Algorithm 116, 1962) to the real and imaginary parts, so
-    every entry equals the scalar running-product formula bit for bit;
-    numpy's complex ``/`` rounds differently.
-    """
+    """[n] = l**(n-1) S_n and its resonance flag for n = 1..count, as arrays,
+    from ``_factors`` and ``_partial_sums``. Callers dividing by [n] must
+    treat a flagged [n] as zero. Each entry equals a scalar loop of running
+    products, running sums and the built-in complex product bit for bit."""
+    ell, r = _factors(params)
     out = np.empty(count, dtype=complex)
     with np.errstate(all="ignore"):
-        if params.is_degenerate:
-            # limit of the direct formula as p -> 1/q: n q**(n-1), with the
-            # integer n taken as the complex n + 0j
-            n = np.arange(1, count + 1, dtype=float)
-            qpow = _running_products(np.full(count, params.q))[:-1]
-            out.real = n * qpow.real - 0.0 * qpow.imag
-            out.imag = n * qpow.imag + 0.0 * qpow.real
-            return out, out == 0
-        qn = _running_products(np.full(count, params.q))[1:]
-        pn = _running_products(np.full(count, params.p_inv))[1:]
-        num = qn - pn
-        a, b, d = num.real, num.imag, params.denom
-        if abs(d.real) >= abs(d.imag):
-            ratio = d.imag / d.real
-            den = d.real + d.imag * ratio
-            out.real = (a + b * ratio) / den
-            out.imag = (b - a * ratio) / den
-        else:
-            ratio = d.real / d.imag
-            den = d.real * ratio + d.imag
-            out.real = (a * ratio + b) / den
-            out.imag = (b * ratio - a) / den
-        scale = _moduli(qn) + _moduli(pn)
-        cancelled = np.isfinite(scale) & (_moduli(num) <= RESONANCE_RTOL * scale)
-        return out, cancelled | (out == 0)
+        sums, _, resonant = _partial_sums(r, count)
+        lpow = _running_products(np.full(count, ell))[:-1]
+        # the built-in complex product, part by part: numpy's complex ``*``
+        # fuses multiply-adds and rounds differently
+        out.real = lpow.real * sums.real - lpow.imag * sums.imag
+        out.imag = lpow.real * sums.imag + lpow.imag * sums.real
+    return out, resonant
 
 
 def _full_sequence(params: DeformationParams, count: int) -> QNumberSequence:
     """The sequence of n_max = count, read-only; ``_build``'s flagged [n] are
     stored as 0.
 
-    ``_build`` flags every exact zero, so ``numbers[1:] == 0`` holds exactly
+    Short of an [n] below double range, ``numbers[1:] == 0`` holds exactly
     at the flagged n: readers that divide by [n] test for a zero, and the
-    first such n is the resonance index."""
+    first flagged n is the resonance index."""
     values, resonant = _build(params, count)
     numbers = np.concatenate([np.zeros(1, complex), np.where(resonant, 0, values)])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -209,29 +206,11 @@ def qp_sequence(n_max: int, params: DeformationParams) -> QNumberSequence:
 
 
 def log_abs_numbers(params: DeformationParams, count: int) -> np.ndarray:
-    """log|[n]| for n = 1..count, stable at any scale; -inf where [n] is flagged.
-
-    Uses q**n - p**(-n) = p**(-n) (w**n - 1) with w = qp when |qp| <= 1 and
-    q**n (1 - w**n) with w = 1/(qp) otherwise, so neither power can overflow.
-    The resonance rule |w**n - 1| <= RESONANCE_RTOL (|w**n| + 1) is the
-    builder's cancellation test in factored form; a flagged n gives -inf,
-    never NaN. ``np.cumprod`` forms the powers in the order of a running
-    product from 1, and ``_moduli`` rounds as the built-in complex ``abs``.
-    """
-    n = np.arange(1, count + 1, dtype=float)
-    if params.is_degenerate:
-        if params.q == 0:   # [1] = 1, and [n] = 0 beyond
-            return np.where(n == 1, 0.0, -np.inf)
-        return np.log(n) + (n - 1) * np.log(abs(params.q))
-    if abs(params.q * params.p) <= 1.0:
-        la_lead = -np.log(abs(params.p))
-    else:
-        la_lead = np.log(abs(params.q))
-    la_denom = np.log(abs(params.denom))
-    w = params.q * params.p
-    powers = np.cumprod(np.full(count, w if abs(w) <= 1.0 else 1.0 / w))
-    gaps = _moduli(powers - 1.0)
+    """log|[n]| = (n - 1) log|l| + log|S_n| for n = 1..count, stable at any
+    scale; -inf, never NaN, exactly where ``_build`` flags [n]."""
+    ell, r = _factors(params)
+    _, moduli, resonant = _partial_sums(r, count)
     with np.errstate(divide="ignore"):
-        log_resid = np.log(gaps)
-    log_resid[gaps <= RESONANCE_RTOL * (_moduli(powers) + 1.0)] = -np.inf
-    return n * la_lead + log_resid - la_denom
+        logs = np.log(moduli)
+    logs[resonant] = -np.inf
+    return np.arange(count) * np.log(abs(ell)) + logs

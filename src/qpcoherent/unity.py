@@ -40,6 +40,7 @@ from .errors import (
 )
 from .qnumbers import (
     DeformationParams,
+    _factors,
     _moduli,
     _running_products,
     _stored,
@@ -251,9 +252,10 @@ def _exp2_values(x: np.ndarray, params: DeformationParams
     added, and the sum stops at the first n where the half-width is at most
     ``tol * total`` at every point.
 
-    Off the degenerate set |[k]| = R lam**k |1 - w**k| with |w| <= 1, so
-    lam >= 1 and |w| < 1 give L = R lam**(n+1) (1 - |w|**(n+1)), and lam = 1
-    also U = R (1 + |w|**(n+1)); without U the lower end is 0. On the
+    Off the degenerate set |[k]| = R lam**k |1 - w**k| with (l, w) from
+    ``_factors``, lam = |l| and |w| <= 1, so lam >= 1 and |w| < 1 give
+    L = R lam**(n+1) (1 - |w|**(n+1)), and lam = 1 also
+    U = R (1 + |w|**(n+1)); without U the lower end is 0. On the
     degenerate branch |[k]| = k |q|**(k-1) >= (n+1) |q|**n, as |q| is 1 up to
     rounding there or above (the radius is 0 otherwise). On a grid of G
     points reaching R (1 - 1/G) the bracket closes after about
@@ -273,12 +275,7 @@ def _exp2_values(x: np.ndarray, params: DeformationParams
         aq = min(abs(params.q), 1.0)
         bracket = True
     else:
-        w = params.q * params.p
-        if abs(w) <= 1.0:
-            lam = 1.0 / abs(params.p)
-        else:
-            w, lam = 1.0 / w, abs(params.q)
-        aw = abs(w)
+        lam, aw = map(abs, _factors(params))
         if lam < 1.0 - UNIT_MODULUS_TOL:
             raise SeriesDivergenceError(
                 f"|[n]| decays like {lam:.6g}**n, so the terms of "

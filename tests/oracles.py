@@ -47,6 +47,24 @@ def ref_wbar(y, q, p, terms=300):
                            for n, f in running_factorials(terms, q, p, True)))
 
 
+def ref_exp2_to_small_terms(x, q, p, small=mp.mpf("1e-25")):
+    """sum x**n/|[n]|! for real x >= 0 off the degenerate set, up to the first
+    term below ``small`` times the total.
+
+    [n] comes from the direct formula with running powers of q and 1/p, so a
+    sum of many thousand terms stays cheap.
+    """
+    q, p, x = mp.mpc(q), mp.mpc(p), mp.mpf(x)
+    denom = q - 1 / p
+    qn = pn = term = total = mp.mpf(1)
+    while True:
+        qn, pn = qn * q, pn / p
+        term *= x / abs((qn - pn) / denom)
+        total += term
+        if term < small * total:
+            return total
+
+
 def ref_exp2_certified(x, q, p, rel=mp.mpf("1e-25")):
     """sum x**n/|[n]|! to ``rel`` relative, for 0 <= x < R, |q| = 1, |qp| > 1.
 

@@ -11,6 +11,8 @@ import pytest
 from qpcoherent import cli, qnumbers
 from qpcoherent.cli import main
 
+from oracles import ref_exp2, ref_number
+
 
 def run_cli(args, tmp_path, name="out.csv"):
     out = tmp_path / name
@@ -41,6 +43,34 @@ def test_qnum_overflow_is_not_a_zero(tmp_path):
     assert parse_csv(text)[647]["number_re"] == "inf"
 
 
+def test_qnum_near_the_classical_point(tmp_path):
+    # q p = 1 + 2e-12: no n is a resonance, and [2] = 1 + 1/p to the last
+    # digits
+    code, text = run_cli(["qnum", "--q", "1", "--p", "1.000000000002",
+                          "--nmax", "5"], tmp_path)
+    assert code == 0
+    rows = parse_csv(text)
+    assert float(rows[1]["number_re"]) == 1.0
+    want = ref_number(2, 1.0, 1.000000000002)
+    assert abs(float(want.real) - 1.999999999998) < 1e-15
+    assert float(rows[2]["number_re"]) == pytest.approx(float(want.real), abs=1e-14)
+    for n in range(1, 6):
+        assert float(rows[n]["number_re"]) == pytest.approx(
+            float(ref_number(n, 1.0, 1.000000000002).real), rel=1e-15)
+
+
+def test_qnum_zero_q_is_a_power_of_one_over_p(tmp_path):
+    # q = 0 lies on the degenerate set for |p| > 1e12, yet [n] = p**(1-n)
+    code, text = run_cli(["qnum", "--q", "0", "--p", "1e13", "--nmax", "4"],
+                         tmp_path)
+    assert code == 0
+    rows = parse_csv(text)
+    assert float(rows[2]["number_re"]) == 1e-13
+    for n in range(1, 5):
+        assert float(rows[n]["number_re"]) == pytest.approx(
+            float(ref_number(n, 0.0, 1e13).real), rel=1e-15)
+
+
 def test_qnum_classical_factorials(tmp_path):
     code, text = run_cli(["qnum", "--q", "1", "--p", "1", "--nmax", "4"], tmp_path)
     assert code == 0
@@ -61,6 +91,17 @@ def test_exp_classical(tmp_path):
     row = parse_csv(text)[0]
     assert float(row["value_re"]) == pytest.approx(math.e, abs=1e-10)
     assert row["verdict"] == "Converged"
+
+
+def test_exp2_next_to_the_classical_point(tmp_path):
+    # q = 1 + 1e-9: exp2(1) is e less about 7e-10, which the sum must resolve
+    code, text = run_cli(["exp", "--which", "2", "--x", "1", "--q", "1.000000001",
+                          "--p", "1"], tmp_path)
+    assert code == 0
+    row = parse_csv(text)[0]
+    assert row["verdict"] == "Converged"
+    assert float(row["value_re"]) == pytest.approx(
+        ref_exp2(1.0, 1.000000001, 1.0).real, abs=1e-12)
 
 
 def test_exp_divergent_input(tmp_path):

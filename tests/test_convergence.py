@@ -204,42 +204,38 @@ def test_json_report_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# scalar reference for the proposition checks: running powers with the
-# built-in abs, one log sequence and one ratio_test_logmag per series
+# scalar reference for the proposition checks: the factored [n] = l**(n-1) S_n
+# with running powers and sums and the built-in abs, one log sequence and one
+# ratio_test_logmag per series
 
 
-def _ref_powers(params, count):
-    w = params.q * params.p
-    base = w if abs(w) <= 1.0 else 1.0 / w
-    wpow = 1.0 + 0.0j
+def _ref_factors(params):
+    qp = params.q * params.p
+    return (1.0 / params.p, qp) if abs(qp) <= 1.0 else (params.q, 1.0 / qp)
+
+
+def _ref_sums(params, count):
+    """S_n = sum_{k<n} r**k for n = 1..count, as running powers and sums."""
+    r = _ref_factors(params)[1]
+    rk, s = 1.0 + 0.0j, 0j
     for _ in range(count):
-        wpow *= base
-        yield wpow
+        s += rk
+        rk *= r
+        yield s
 
 
 def _ref_log_abs_numbers(params, count):
-    if params.is_degenerate:
-        la_q = np.log(abs(params.q)) if params.q != 0 else -np.inf
-        n = np.arange(1, count + 1, dtype=float)
-        return np.log(n) + (n - 1) * la_q
-    if abs(params.q * params.p) <= 1.0:
-        la_lead = -np.log(abs(params.p))
-    else:
-        la_lead = np.log(abs(params.q))
-    la_denom = np.log(abs(params.denom))
-    out = []
-    for n, wpow in enumerate(_ref_powers(params, count), start=1):
-        resid = abs(wpow - 1.0)
-        out.append(n * la_lead + (np.log(resid) if resid > 0 else -np.inf)
-                   - la_denom)
-    return np.array(out)
+    # log|[n]| = (n - 1) log|l| + log|S_n|, -inf where S_n is flagged
+    la_ell = np.log(abs(_ref_factors(params)[0]))
+    return np.array([
+        (n - 1) * la_ell + (np.log(abs(s)) if abs(s) > RESONANCE_RTOL * n
+                            else -np.inf)
+        for n, s in enumerate(_ref_sums(params, count), start=1)])
 
 
 def _ref_resonant(params, count):
-    if params.is_degenerate:
-        return params.q == 0
-    return any(abs(wpow - 1.0) <= RESONANCE_RTOL * (abs(wpow) + 1.0)
-               for wpow in _ref_powers(params, count))
+    return any(abs(s) <= RESONANCE_RTOL * n
+               for n, s in enumerate(_ref_sums(params, count), start=1))
 
 
 def _ref_wbar_test(params, y, count, window):
@@ -370,13 +366,12 @@ def test_batched_ratio_tests_match_one_row_tests():
 
 
 def _relative_gap(params, count):
-    return min(abs(w - 1.0) / (abs(w) + 1.0) for w in _ref_powers(params, count))
+    return min(abs(s) / n for n, s in enumerate(_ref_sums(params, count), start=1))
 
 
 def test_near_resonant_pair_is_tested():
-    # (qp)**5 misses 1 by a relative 2.5e-10: flagged neither by the store's
-    # 1e-12 rule nor, now, by the sweeps; the spikes of |[5k]| near 0 leave
-    # the median ratio inside its 3-sigma band
+    # |S_5k| / 5k is 8.5e-11, above the 1e-12 rule, so no n is flagged; the
+    # spikes of |[5k]| near 0 leave the median ratio inside its 3-sigma band
     params = DeformationParams(cmath.exp(1j * (2 * math.pi / 5 + 1e-10)), 1.0)
     assert 1e-12 < _relative_gap(params, 300) <= 1e-8
     row, = proposition2_check([params])

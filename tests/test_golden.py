@@ -43,6 +43,10 @@ COMMANDS = [
     ["qnum", "--q", "1j", "--p", "1j", "--nmax", "12"],
     ["qnum", "--q", "3", "--p", "1", "--nmax", "200"],
     ["qnum", "--q", "0.5+0.5j", "--p", "1", "--nmax", "25", "--format", "json"],
+    # next to the classical point, and q = 0 on the degenerate set: no [n]
+    # there is a resonance
+    ["qnum", "--q", "1", "--p", "1.000000000002", "--nmax", "5"],
+    ["qnum", "--q", "0", "--p", "1e13", "--nmax", "4"],
     ["exp", "--which", "1", "--x", "1", "--q", "0.5", "--p", "1"],
     ["exp", "--which", "2", "--x", "1", "--q", "0.5", "--p", "1"],
     ["exp", "--which", "1", "--x", "-1.5", "--q", "0.9", "--p", "1"],

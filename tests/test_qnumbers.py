@@ -20,7 +20,6 @@ from qpcoherent import (
 )
 from qpcoherent import qnumbers
 from qpcoherent.qnumbers import (
-    DEGENERACY_THRESHOLD,
     RESONANCE_RTOL,
     _build,
     _stored,
@@ -240,11 +239,60 @@ def test_log_abs_numbers_against_oracle(q, p):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+def _near_one_strip(size=26):
+    # |qp - 1| log-spaced from 1e-15 to 1e-3, where q - 1/p is as small
+    rng = random.Random(20261020)
+    points = []
+    for i in range(size):
+        gap = 10.0 ** (-15 + 12 * i / (size - 1))
+        q = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
+        points.append((q, (1.0 + cmath.rect(gap, rng.uniform(-math.pi, math.pi))) / q))
+    return points
+
+
+def _quadrants(per=6):
+    # (|q| < 1 or > 1) x (|p| < 1 or > 1); every other point off the diagonal
+    # has |qp| = 1, where S_n can cancel
+    rng = random.Random(20261021)
+    points = []
+    for small_q, small_p in itertools.product((True, False), repeat=2):
+        for k in range(per):
+            aq = rng.uniform(0.5, 0.99) if small_q else rng.uniform(1.01, 2.0)
+            ap = rng.uniform(0.5, 0.99) if small_p else rng.uniform(1.01, 2.0)
+            if small_q != small_p and k % 2:
+                ap = 1.0 / aq
+            points.append((cmath.rect(aq, rng.uniform(-math.pi, math.pi)),
+                           cmath.rect(ap, rng.uniform(-math.pi, math.pi))))
+    return points
+
+
+@pytest.mark.parametrize("points, tol", [(_near_one_strip(), 1e-13),
+                                         (_quadrants(), 2e-13)],
+                         ids=["near_qp_one", "quadrants"])
+def test_numbers_against_mpmath_up_to_200(points, tol):
+    # the error is bounded by tol times the sum of the moduli of the n terms
+    # q**k p**(k-n+1) of [n]. On the strip the terms point one way, so that
+    # sum is |[n]| and the bound is relative; at |qp| = 1 it allows for the
+    # cancellation of the sum, which the direct formula suffers as much
+    for q, p in points:
+        seq = qp_sequence(200, DeformationParams(q, p))
+        stop = seq.overflow_index if seq.overflow_index is not None else 201
+        assert seq.resonance_index is None and stop > 40, (q, p)
+        mq, mp_ = mp.mpc(q), mp.mpc(p)
+        term_sum = mp.mpf(0)
+        for n in range(1, stop):
+            term_sum = term_sum / abs(mp_) + abs(mq) ** (n - 1)
+            ref = ref_number(n, q, p)
+            assert abs(mp.mpc(seq.numbers[n]) - ref) <= tol * term_sum, (q, p, n)
+
+
 def test_log_abs_numbers_minus_inf_exactly_where_the_builder_flags():
-    # (qp)**(5k) misses 1 by a relative 8.5e-13 k: flagged for k = 1, 2 only
+    # |S_5k| / 5k = |1 - (qp)**5k| / (5k |1 - qp|) is about 1.45e-13 for
+    # every k: every multiple of 5 is flagged, and the resonance index stays 5
     near = DeformationParams(cmath.exp(1j * (2 * math.pi / 5 + 1.7e-13)), 1.0)
     flagged = np.flatnonzero(np.isneginf(log_abs_numbers(near, 300))) + 1
-    assert flagged.tolist() == [5, 10]
+    assert flagged.tolist() == list(range(5, 301, 5))
+    assert qp_sequence(300, near).resonance_index == 5
     for q, p in [(near.q, near.p), *_builder_points()]:
         params = DeformationParams(q, p)
         with np.errstate(divide="ignore"):
@@ -268,27 +316,20 @@ def test_log_abs_numbers_exact_resonance_is_minus_inf():
 
 
 def _scalar_numbers(q, p, count):
-    """([n], flagged) for n = 1..count with running products, the built-in
-    complex ``/`` and ``abs``: the loop the array builder replaces. The flag
-    is the consumers' old test, a cancellation or an exact zero."""
-    denom = q - 1.0 / p
+    """([n], flagged) for n = 1..count in the factored form l**(n-1) S_n, with
+    running products, running sums and the built-in complex ``*`` and
+    ``abs``: the loop the array builder replaces. (l, r) is (1/p, qp) where
+    |qp| <= 1 and (q, 1/(qp)) otherwise; the flag is |S_n| <= RESONANCE_RTOL n."""
+    qp = q * p
+    ell, r = (1.0 / p, qp) if abs(qp) <= 1.0 else (q, 1.0 / qp)
+    lk = rk = 1.0 + 0.0j
+    s = 0j
     rows = []
-    if abs(denom) < DEGENERACY_THRESHOLD:
-        qpow = 1.0 + 0.0j
-        for n in range(1, count + 1):
-            value = n * qpow
-            rows.append((value, value == 0))
-            qpow *= q
-        return rows
-    qn = pn = 1.0 + 0.0j
-    for _ in range(count):
-        qn *= q
-        pn *= 1.0 / p
-        num = qn - pn
-        value = num / denom
-        scale = abs(qn) + abs(pn)   # an overflowed power is no cancellation
-        rows.append((value, math.isfinite(scale)
-                     and abs(num) <= RESONANCE_RTOL * scale or value == 0))
+    for n in range(1, count + 1):
+        s += rk
+        rows.append((lk * s, abs(s) <= RESONANCE_RTOL * n))
+        lk *= ell
+        rk *= r
     return rows
 
 
@@ -401,18 +442,19 @@ def test_sequence_of_length_zero_on_the_degenerate_branch():
     assert seq.overflow_index is None and seq.resonance_index is None
 
 
-def test_sequence_keeps_negative_zero_imaginary_parts():
-    # q = -0.5: p**(-n) - q**n has an imaginary part of -0.0 at odd n
-    seq = qp_sequence(3, DeformationParams(-0.5, 1.0))
-    assert [math.copysign(1.0, z.imag) for z in seq.numbers[1:]] == [-1.0, 1.0, -1.0]
-
-
 def test_log_abs_numbers_degenerate_zero_q():
-    # q = 0, |p| > 1e12 is on the degenerate set: [1] = 1 and [n] = 0 beyond
+    # q = 0, p = 1e13 is on the degenerate set, yet [n] = 1e-13**(n-1) is no
+    # zero: r = qp = 0, so S_n = 1 and [n] = (1/p)**(n-1)
+    params = DeformationParams(0, 1e13)
+    assert params.is_degenerate
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = log_abs_numbers(DeformationParams(0, 1e13), 4)
-    assert got.tolist() == [0.0, -math.inf, -math.inf, -math.inf]
+        got = log_abs_numbers(params, 4)
+    with mp.workdps(50):
+        want = [float(mp.log(abs(ref_number(n, 0, 1e13)))) for n in range(1, 5)]
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(np.abs(want))
+    assert [number(n, params) for n in range(1, 5)] == pytest.approx(
+        [complex(ref_number(n, 0, 1e13)) for n in range(1, 5)], rel=1e-15)
 
 
 def test_degeneracy_threshold_is_a_module_constant():
@@ -480,7 +522,7 @@ def test_store_reports_indices_only_below_the_cap(monkeypatch):
 
 def test_store_keys_tell_signed_zero_parts_apart(monkeypatch):
     store = _fresh_store(monkeypatch)
-    plus, minus = (DeformationParams(complex(-0.5, zero), 1.0) for zero in (0.0, -0.0))
+    plus, minus = (DeformationParams(complex(-2.0, zero), 1.0) for zero in (0.0, -0.0))
     assert plus == minus
     got = [qp_sequence(40, params) for params in (plus, minus)]
     assert len(store) == 2

@@ -30,7 +30,7 @@ from qpcoherent import (
 )
 from qpcoherent import unity
 
-from oracles import gamma_moment, ref_exp2_certified, ref_wbar
+from oracles import gamma_moment, ref_exp2_certified, ref_exp2_to_small_terms, ref_wbar
 
 QUON = DeformationParams(0.5, 1.0)
 CLASSICAL = DeformationParams(1.0, 1.0)
@@ -281,12 +281,13 @@ def test_physical_weight_without_remainder_bound_reports_it():
 
 # sum x**n/|[n]|! on linspace(0, R, 513, endpoint=False) at indices 256 and
 # 512, as the two-small-terms stop gives them (it is kept where |w| is this
-# close to 1, so these values are unchanged)
+# close to 1). At index 512 that stop misses the full sum by 2.5e-8 and
+# 6.5e-9 relative
 NEAR_UNIT_W = [
     (DeformationParams((1 - 1e-6) * cmath.exp(2j), 1.0),
-     1.5988507866670407, 11816.724623510529),
+     1.5988507866670407, 11816.724623384709),
     (DeformationParams(0.6 + 0.8j, 1.000001),
-     1.8052187430706848, 68.0426392473267),
+     1.8052187430706848, 68.04263924689334),
 ]
 
 
@@ -303,6 +304,10 @@ def test_physical_weight_with_w_near_unit_circle(params, mid, edge):
     ratio = phys.grid_w / w.grid_w
     assert ratio[256] == pytest.approx(mid, rel=1e-14)
     assert ratio[512] == pytest.approx(edge, rel=1e-14)
+    with mp.workdps(40):
+        for i in (256, 512):
+            ref = ref_exp2_to_small_terms(float(w.grid_x[i]), params.q, params.p)
+            assert ratio[i] == pytest.approx(float(ref), rel=1e-7)
 
 
 def test_physical_weight_growing_numbers_stop_early():
