@@ -13,7 +13,6 @@ regimes. A CLI (``qpcoherent``) fronts the sweeps and exports.
 
 from .convergence import (
     Prop1Row,
-    RatioTestResult,
     RatioVerdict,
     Regime,
     RegimeVerdict,
@@ -22,7 +21,6 @@ from .convergence import (
     default_parameter_grid,
     proposition1_check,
     proposition2_check,
-    ratio_test_logmag,
     regime_report_to_csv,
     regime_report_to_json,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "QNumberSequence",
     "QpcError",
     "QuadratureError",
-    "RatioTestResult",
     "RatioVerdict",
     "Regime",
     "RegimeVerdict",
@@ -125,7 +122,6 @@ __all__ = [
     "proposition1_check",
     "proposition2_check",
     "qp_sequence",
-    "ratio_test_logmag",
     "regime_report_to_csv",
     "regime_report_to_json",
     "relation_residuals",

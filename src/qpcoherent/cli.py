@@ -9,9 +9,7 @@ byte-identical and diffable. Exit codes: 0 success, 1 computational failure
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import math
 import os
 import sys
@@ -34,13 +32,13 @@ from .unity import (
     WBAR_NOISE_LIMIT,
     WBAR_ROUNDING,
     format_float,
-    open_output,
     resolution_residual,
     target_moments,
     weight_from_fourier,
     weight_from_moments,
     weight_to_csv,
     weight_to_json,
+    write_table,
 )
 
 _fmt = format_float
@@ -57,17 +55,6 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
 
 
-def _emit_rows(header: list[str], rows: list[list[str]], args) -> None:
-    with open_output(args.out or sys.stdout) as out:
-        if args.format == "json":
-            payload = [dict(zip(header, row)) for row in rows]
-            out.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-
-
 # ----------------------------------------------------------------------
 # commands
 
@@ -81,7 +68,7 @@ def _cmd_qnum(args) -> int:
         rows.append([str(n), *_fmt_complex_pair(seq.numbers[n]),
                      *_fmt_complex_pair(seq.factorials[n]),
                      _fmt(seq.abs_factorials[n])])
-    _emit_rows(header, rows, args)
+    write_table(header, rows, args.format, args.out or sys.stdout)
     return 0
 
 
@@ -95,7 +82,7 @@ def _cmd_exp(args) -> int:
     rows = [[str(args.which), *_fmt_complex_pair(args.x),
              *_fmt_complex_pair(ev.value), str(ev.terms_used),
              _fmt(ev.tail_bound), ev.verdict.value]]
-    _emit_rows(header, rows, args)
+    write_table(header, rows, args.format, args.out or sys.stdout)
     return 0
 
 
@@ -113,7 +100,7 @@ def _cmd_coherent(args) -> int:
         header = ["n", "coeff_re", "coeff_im"]
         rows = [[str(n), *_fmt_complex_pair(c)]
                 for n, c in enumerate(state.coeffs)]
-    _emit_rows(header, rows, args)
+    write_table(header, rows, args.format, args.out or sys.stdout)
     return 0
 
 
@@ -125,7 +112,7 @@ def _cmd_fock_check(args) -> int:
     rows = [[str(args.dim), str(report.block_dim),
              _fmt(report.residual_qmutation), _fmt(report.residual_delta_comm),
              _fmt(report.residual_adag_comm), _fmt(report.residual_qp)]]
-    _emit_rows(header, rows, args)
+    write_table(header, rows, args.format, args.out or sys.stdout)
     return 0
 
 
@@ -265,7 +252,7 @@ def _cmd_verify(args) -> int:
              _fmt(c["value"]) if not math.isnan(c["value"]) else "",
              _fmt(c["threshold"]) if not math.isnan(c["threshold"]) else "",
              str(c["passed"]).lower(), c["note"]] for c in checks]
-    _emit_rows(header, rows, args)
+    write_table(header, rows, args.format, args.out or sys.stdout)
     return 0 if all(c["passed"] for c in checks) else 1
 
 
@@ -294,7 +281,7 @@ def _cmd_regimes(args) -> int:
                     row.verdict.value if row.verdict else "Skipped",
                     _fmt(row.estimate), row.expected.value,
                     str(row.consistent).lower(), row.skipped or ""])
-    _emit_rows(header, table, args)
+    write_table(header, table, args.format, args.out or sys.stdout)
     return 0 if ok else 1
 
 
@@ -381,6 +368,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except OSError as exc:   # an --out path that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

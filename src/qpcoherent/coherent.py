@@ -60,15 +60,19 @@ def make_state(
     normalization series that does not converge raises SeriesDivergenceError.
     """
     z = complex(z)
+    try:
+        z_sq = abs(z) ** 2
+    except OverflowError:   # beyond double range, so outside every disk
+        z_sq = math.inf
     radius = convergence_radius(params)
-    if abs(z) ** 2 >= radius:
+    if z_sq >= radius:
         raise LabelOutOfDiskError(
-            f"|z|^2 = {abs(z)**2:.6g} >= convergence radius {radius:.6g}"
+            f"|z|^2 = {z_sq:.6g} >= convergence radius {radius:.6g}"
         )
-    ev = exp2(abs(z) ** 2, params, _STATE_CONTROL)   # inside the disk
+    ev = exp2(z_sq, params, _STATE_CONTROL)   # inside the disk
     if ev.verdict is not Verdict.CONVERGED:
         raise SeriesDivergenceError(
-            f"normalization series at |z|^2 = {abs(z)**2:.6g} is "
+            f"normalization series at |z|^2 = {z_sq:.6g} is "
             f"{ev.verdict.value}, not Converged"
         )
     if dim is None:

@@ -10,8 +10,6 @@ not proof; verdicts near |ratio| = 1 are honestly Inconclusive.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +20,7 @@ import numpy as np
 from .defexp import convergence_radius, growth_rate
 from .errors import InvalidParameterError
 from .qnumbers import DeformationParams, log_abs_numbers
-from .unity import format_float, open_output
+from .unity import format_float, write_table
 
 MODULUS_TOL = 1e-9
 DEFAULT_WINDOW = 50
@@ -42,14 +40,6 @@ class RatioVerdict(Enum):
 
 
 @dataclass(frozen=True)
-class RatioTestResult:
-    verdict: RatioVerdict
-    estimate: float
-    sigma: float
-    n_ratios: int
-
-
-@dataclass(frozen=True)
 class Prop1Row:
     Q: complex
     y: float
@@ -62,16 +52,15 @@ class Prop1Row:
 
 @dataclass(frozen=True)
 class RegimeVerdict:
-    """One sweep row: classification, per-series verdicts and ratio
-    estimates, boundary margin and contradiction flag, as the reports print
-    them."""
+    """One sweep row: classification, the exp and Wbar verdicts and ratio
+    estimates, boundary margin and contradiction flag. One exp verdict
+    serves both deformed exponentials, whose terms have equal magnitudes."""
 
     params: DeformationParams
     regime: Regime
-    v_exp1: Optional[RatioVerdict]
-    v_exp2: Optional[RatioVerdict]
+    v_exp: Optional[RatioVerdict]
     v_wbar: Optional[RatioVerdict]
-    estimates: tuple[float, float, float]
+    estimates: tuple[float, float]
     boundary_margin: float
     contradiction: bool
     note: str = ""
@@ -102,23 +91,14 @@ def boundary_margin(params: DeformationParams) -> float:
     return abs(growth_rate(params) - 1.0)
 
 
-def ratio_test_logmag(log_terms: np.ndarray, window: int = DEFAULT_WINDOW) -> RatioTestResult:
-    """Median-based lim sup |t_{n+1}/t_n| estimate from log-magnitudes.
+def _ratio_kernel(logs: np.ndarray, window: int) -> list[tuple[RatioVerdict, float]]:
+    """(verdict, median lim sup |t_{n+1}/t_n| estimate) for each row of a 2-D
+    array of finite log-magnitudes, from its last ``window`` ratios.
 
     The 3-sigma decision band is applied on the log scale, which agrees with
     the linear-scale band to first order once the ratios have settled and
     stays meaningful when they grow without bound.
     """
-    logs = np.asarray(log_terms, dtype=float)
-    return _ratio_kernel(logs[np.isfinite(logs)][np.newaxis], window)[0]
-
-
-def _ratio_kernel(logs: np.ndarray, window: int) -> list[RatioTestResult]:
-    # the ratio test on each row of a 2-D array of finite log-magnitudes
-    if logs.shape[1] < 2 * window:
-        raise InvalidParameterError(
-            f"need at least {2 * window} finite nonzero terms, got {logs.shape[1]}"
-        )
     log_ratios = np.diff(logs, axis=1)[:, -window:]
     meds = np.median(log_ratios, axis=1).tolist()
     sigs = np.std(log_ratios, axis=1).tolist()
@@ -130,9 +110,7 @@ def _ratio_kernel(logs: np.ndarray, window: int) -> list[RatioTestResult]:
             verdict = RatioVerdict.DIVERGENT
         else:
             verdict = RatioVerdict.INCONCLUSIVE
-        results.append(RatioTestResult(
-            verdict=verdict, estimate=math.exp(med), sigma=sig,
-            n_ratios=log_ratios.shape[1]))
+        results.append((verdict, math.exp(med)))
     return results
 
 
@@ -170,6 +148,19 @@ def _exp_log_terms(cum: np.ndarray, xs: Sequence[float]) -> np.ndarray:
 # proposition checks
 
 
+def _ratio_tests(params: DeformationParams, lgam: np.ndarray, window: int,
+                 xs: Sequence[float], ys: Sequence[float]
+                 ) -> Optional[list[tuple[RatioVerdict, float]]]:
+    """Ratio tests of the exp series at each x, then of Wbar at each y, over
+    len(lgam) terms; None where one of those [n] is flagged (vanishing)."""
+    logs = log_abs_numbers(params, len(lgam))
+    if np.isneginf(logs).any():
+        return None
+    cum = np.cumsum(logs)
+    return _ratio_kernel(np.vstack([_exp_log_terms(cum, xs),
+                                    _wbar_log_terms(cum, ys, lgam)]), window)
+
+
 def proposition1_check(Q: complex, y_samples: Sequence[float]) -> list[Prop1Row]:
     """Wbar ratio tests for the symmetric one-parameter deformation.
 
@@ -181,20 +172,18 @@ def proposition1_check(Q: complex, y_samples: Sequence[float]) -> list[Prop1Row]
     Q = complex(Q)
     if Q == 0 or Q == 1 or Q == -1:
         raise InvalidParameterError("Q must differ from 0 and +-1")
-    params = DeformationParams(q=Q, p=Q)
     on_circle = abs(abs(Q) - 1.0) <= MODULUS_TOL
     expected = RatioVerdict.CONVERGENT if on_circle else RatioVerdict.DIVERGENT
     ys = [float(y) for y in y_samples]
-    logs = log_abs_numbers(params, 400)
-    if np.isneginf(logs).any():   # a flagged (vanishing) [n]
+    tests = _ratio_tests(DeformationParams(q=Q, p=Q), _log_factorials(400),
+                         100, (), ys)
+    if tests is None:
         return [Prop1Row(Q=Q, y=y, verdict=None, estimate=math.nan,
                          expected=expected, consistent=True,
                          skipped="root-of-unity degeneracy") for y in ys]
-    results = _ratio_kernel(
-        _wbar_log_terms(np.cumsum(logs), ys, _log_factorials(400)), 100)
-    return [Prop1Row(Q=Q, y=y, verdict=res.verdict, estimate=res.estimate,
-                     expected=expected, consistent=res.verdict is expected)
-            for y, res in zip(ys, results)]
+    return [Prop1Row(Q=Q, y=y, verdict=verdict, estimate=estimate,
+                     expected=expected, consistent=verdict is expected)
+            for y, (verdict, estimate) in zip(ys, tests)]
 
 
 _ORDER = {RatioVerdict.CONVERGENT: 0, RatioVerdict.INCONCLUSIVE: 1,
@@ -224,39 +213,29 @@ def proposition2_check(grid: Sequence[DeformationParams],
     for params in grid:
         regime = classify_regime(params)
         radius = convergence_radius(params)
-        note = ""
-        logs = log_abs_numbers(params, 300)
-        if np.isneginf(logs).any():   # a flagged (vanishing) [n]
+        x = 0.5 * radius if 0 < radius < math.inf else 2.5
+        tests = _ratio_tests(params, lgam, DEFAULT_WINDOW, [x], y_samples)
+        if tests is None:
             rows.append(RegimeVerdict(
-                params=params, regime=regime, v_exp1=None, v_exp2=None,
-                v_wbar=None, estimates=(math.nan,) * 3,
+                params=params, regime=regime, v_exp=None, v_wbar=None,
+                estimates=(math.nan,) * 2,
                 boundary_margin=boundary_margin(params),
                 contradiction=False, note="root-of-unity degeneracy; skipped"))
             continue
 
-        x = 0.5 * radius if 0 < radius < math.inf else 2.5
-        cum = np.cumsum(logs)
-        exp_res, *wbar_res = _ratio_kernel(np.vstack([
-            _exp_log_terms(cum, [x]), _wbar_log_terms(cum, y_samples, lgam)]),
-            DEFAULT_WINDOW)
-        v_exp = exp_res.verdict
-        v_wbar = _worst([r.verdict for r in wbar_res])
-
-        if regime in (Regime.REGIME_I, Regime.REGIME_II):
-            contradiction = (v_exp is RatioVerdict.DIVERGENT or
-                             v_wbar is RatioVerdict.DIVERGENT)
-        elif regime is Regime.OUTSIDE:
-            contradiction = not (v_exp is RatioVerdict.DIVERGENT or
-                                 v_wbar is RatioVerdict.DIVERGENT)
-        else:
+        (v_exp, exp_estimate), *wbar = tests
+        v_wbar = _worst([verdict for verdict, _ in wbar])
+        divergent = RatioVerdict.DIVERGENT in (v_exp, v_wbar)
+        contradiction, note = divergent, ""   # regimes (i) and (ii)
+        if regime is Regime.OUTSIDE:
+            contradiction = not divergent
+        elif regime is Regime.DEGENERATE:
             contradiction = False
             note = "degenerate branch; not covered by the regime dichotomy"
 
         rows.append(RegimeVerdict(
-            params=params, regime=regime, v_exp1=v_exp, v_exp2=v_exp,
-            v_wbar=v_wbar,
-            estimates=(exp_res.estimate, exp_res.estimate,
-                       max(r.estimate for r in wbar_res)),
+            params=params, regime=regime, v_exp=v_exp, v_wbar=v_wbar,
+            estimates=(exp_estimate, max(e for _, e in wbar)),
             boundary_margin=boundary_margin(params),
             contradiction=contradiction, note=note))
     return rows
@@ -322,37 +301,30 @@ def _verdict_str(v: Optional[RatioVerdict]) -> str:
     return v.value if v is not None else "Skipped"
 
 
+def _estimate_cells(row: RegimeVerdict) -> list[str]:
+    # the exp estimate is printed once for each deformed exponential
+    exp_estimate, wbar_estimate = (format_float(e) for e in row.estimates)
+    return [exp_estimate, exp_estimate, wbar_estimate]
+
+
 def regime_report_to_csv(rows: Sequence[RegimeVerdict], file_or_path) -> None:
-    with open_output(file_or_path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["q_re", "q_im", "p_re", "p_im", "regime",
-                         "v_exp1", "v_exp2", "v_wbar", "ratio_estimates"])
-        for row in rows:
-            q, p = row.params.q, row.params.p
-            writer.writerow([
-                format_float(q.real), format_float(q.imag),
-                format_float(p.real), format_float(p.imag),
-                row.regime.value,
-                _verdict_str(row.v_exp1), _verdict_str(row.v_exp2),
-                _verdict_str(row.v_wbar),
-                ";".join(format_float(e) for e in row.estimates),
-            ])
+    header = ["q_re", "q_im", "p_re", "p_im", "regime",
+              "v_exp1", "v_exp2", "v_wbar", "ratio_estimates"]
+    write_table(header, [
+        [*(format_float(v) for v in (row.params.q.real, row.params.q.imag,
+                                     row.params.p.real, row.params.p.imag)),
+         row.regime.value, _verdict_str(row.v_exp), _verdict_str(row.v_exp),
+         _verdict_str(row.v_wbar), ";".join(_estimate_cells(row))]
+        for row in rows], "csv", file_or_path)
 
 
 def regime_report_to_json(rows: Sequence[RegimeVerdict], file_or_path) -> None:
-    payload = []
-    for row in rows:
-        payload.append({
-            "q": [row.params.q.real, row.params.q.imag],
-            "p": [row.params.p.real, row.params.p.imag],
-            "regime": row.regime.value,
-            "v_exp1": _verdict_str(row.v_exp1),
-            "v_exp2": _verdict_str(row.v_exp2),
-            "v_wbar": _verdict_str(row.v_wbar),
-            "estimates": [format_float(e) for e in row.estimates],
-            "boundary_margin": format_float(row.boundary_margin),
-            "contradiction": row.contradiction,
-            "note": row.note,
-        })
-    with open_output(file_or_path) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    header = ["q", "p", "regime", "v_exp1", "v_exp2", "v_wbar", "estimates",
+              "boundary_margin", "contradiction", "note"]
+    write_table(header, [
+        [[row.params.q.real, row.params.q.imag],
+         [row.params.p.real, row.params.p.imag],
+         row.regime.value, _verdict_str(row.v_exp), _verdict_str(row.v_exp),
+         _verdict_str(row.v_wbar), _estimate_cells(row),
+         format_float(row.boundary_margin), row.contradiction, row.note]
+        for row in rows], "json", file_or_path)

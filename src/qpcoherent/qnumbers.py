@@ -13,6 +13,7 @@ deformed exponentials and the weight-function moments.
 
 from __future__ import annotations
 
+import cmath
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -46,6 +47,9 @@ class DeformationParams:
     def __post_init__(self):
         object.__setattr__(self, "q", complex(self.q))
         object.__setattr__(self, "p", complex(self.p))
+        if not (cmath.isfinite(self.q) and cmath.isfinite(self.p)):
+            raise InvalidParameterError(
+                f"q and p must be finite, got q = {self.q}, p = {self.p}")
         if self.p == 0:
             raise InvalidParameterError("p must be nonzero")
 

@@ -20,6 +20,7 @@ Positivity of the recovered weight is measured (min_value), never enforced.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from contextlib import contextmanager
@@ -154,6 +155,19 @@ def open_output(file_or_path):
     else:
         with open(file_or_path, "w", newline="", encoding="utf-8") as fh:
             yield fh
+
+
+def write_table(header: list[str], rows, fmt: str, file_or_path) -> None:
+    """Rows of cells under ``header``, as CSV ("csv") or as a JSON list of
+    header-keyed objects ("json"); JSON cells may be any JSON value."""
+    with open_output(file_or_path) as out:
+        if fmt == "json":
+            payload = [dict(zip(header, row)) for row in rows]
+            out.write(json.dumps(payload, indent=2) + "\n")
+        else:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 # ----------------------------------------------------------------------
@@ -550,6 +564,8 @@ def moment_ratios(weight: WeightFunction, params: DeformationParams,
     ``1e-8 * max(|M|, 1)``. Reaching 4096 panels (12 doublings) raises
     QuadratureError (the weight representation is too coarse for x**n).
     """
+    if dim < 1:
+        raise InvalidParameterError(f"dim must be positive, got {dim}")
     seq = qp_sequence(dim, params)
     if seq.resonance_index is not None and seq.resonance_index < dim:
         raise RootOfUnityDegeneracyError(seq.resonance_index)

@@ -203,7 +203,7 @@ def test_criterion_07_proposition_2():
     soft = [r for r in rows
             if r.boundary_margin > 1e-2 and any(
                 v is RatioVerdict.INCONCLUSIVE
-                for v in (r.v_exp1, r.v_exp2, r.v_wbar) if v is not None)]
+                for v in (r.v_exp, r.v_wbar) if v is not None)]
     ok = len(rows) == 100 and not contradictions and not soft
     report("criterion 7 (proposition 2)", ok,
            f"{len(rows)} points, {len(contradictions)} contradictions, "

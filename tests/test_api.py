@@ -61,10 +61,9 @@ SIGNATURES = {
     'QNumberSequence': "(params: 'DeformationParams', n_max: 'int', numbers: 'np.ndarray', factorials: 'np.ndarray', abs_factorials: 'np.ndarray', overflow_index: 'Optional[int]' = None, resonance_index: 'Optional[int]' = None) -> None",
     'QpcError': '(*args)',
     'QuadratureError': '(*args)',
-    'RatioTestResult': "(verdict: 'RatioVerdict', estimate: 'float', sigma: 'float', n_ratios: 'int') -> None",
     'RatioVerdict': 'Convergent|Divergent|Inconclusive',
     'Regime': 'RegimeI|RegimeII|Degenerate|Outside',
-    'RegimeVerdict': "(params: 'DeformationParams', regime: 'Regime', v_exp1: 'Optional[RatioVerdict]', v_exp2: 'Optional[RatioVerdict]', v_wbar: 'Optional[RatioVerdict]', estimates: 'tuple[float, float, float]', boundary_margin: 'float', contradiction: 'bool', note: 'str' = '') -> None",
+    'RegimeVerdict': "(params: 'DeformationParams', regime: 'Regime', v_exp: 'Optional[RatioVerdict]', v_wbar: 'Optional[RatioVerdict]', estimates: 'tuple[float, float]', boundary_margin: 'float', contradiction: 'bool', note: 'str' = '') -> None",
     'RelationReport': "(residual_qmutation: 'float', residual_delta_comm: 'float', residual_adag_comm: 'float', residual_qp: 'float', block_dim: 'int') -> None",
     'RootOfUnityDegeneracyError': '(index: int)',
     'SeriesControl': "(n_max: 'int' = 500, tol: 'float' = 1e-12, min_terms: 'int' = 10) -> None",
@@ -89,7 +88,6 @@ SIGNATURES = {
     'proposition1_check': "(Q: 'complex', y_samples: 'Sequence[float]') -> 'list[Prop1Row]'",
     'proposition2_check': "(grid: 'Sequence[DeformationParams]', y_samples: 'Sequence[float]' = (0.5, 1.0, 2.0)) -> 'list[RegimeVerdict]'",
     'qp_sequence': "(n_max: 'int', params: 'DeformationParams') -> 'QNumberSequence'",
-    'ratio_test_logmag': "(log_terms: 'np.ndarray', window: 'int' = 50) -> 'RatioTestResult'",
     'regime_report_to_csv': "(rows: 'Sequence[RegimeVerdict]', file_or_path) -> 'None'",
     'regime_report_to_json': "(rows: 'Sequence[RegimeVerdict]', file_or_path) -> 'None'",
     'relation_residuals': "(ops: 'FockOperators') -> 'RelationReport'",

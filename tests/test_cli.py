@@ -232,6 +232,50 @@ def test_weight_divergent_series_is_error(tmp_path, capsys, q, p, reason):
     assert "inf" not in text
 
 
+# Each row names an input that must end in one "error:" line naming the
+# cause, with the given exit code: no traceback, no warning, no output.
+# "{missing}" stands for a directory that does not exist.
+EDGE_INPUTS = [
+    (["verify", "--q", "0.5", "--p", "1", "--degree", "0"], 2,
+     "dim must be positive"),
+    (["coherent", "--z", "1e300"], 1, "convergence radius"),
+    (["qnum", "--q", "nan"], 2, "must be finite"),
+    (["weight", "--p", "nan"], 2, "must be finite"),
+    (["fock-check", "--q", "inf"], 2, "must be finite"),
+    (["exp", "--q", "0.5", "--p", "nan+1j"], 2, "must be finite"),
+    *[(args + ["--out", "{missing}/o"], 2, "No such file or directory")
+      for args in (["qnum"], ["exp"], ["coherent"], ["fock-check"],
+                   ["weight", "--grid-points", "5"], ["verify", "--dim", "8"],
+                   ["regimes", "--prop", "1"])],
+]
+
+
+@pytest.mark.parametrize("args, code, cause", EDGE_INPUTS,
+                         ids=[" ".join(row[0]) for row in EDGE_INPUTS])
+def test_edge_input_ends_in_one_error_line(args, code, cause, tmp_path, capsys):
+    args = [a.format(missing=tmp_path / "missing") for a in args]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
+
+
+def test_unparsable_complex_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["exp", "--x", "abc"])
+    assert err.value.code == 2
+    assert "argument --x: not a complex number: 'abc'" in capsys.readouterr().err
+
+
+def test_verify_negative_degree_is_usage_error(capsys):
+    assert main(["verify", "--q", "0.5", "--p", "1", "--degree", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: need 0 <= degree <= moments.n_max\n"
+
+
 def test_exp_zero_radius(tmp_path):
     # q p = 1 with |q| < 1: the disk is empty, but x = 0 still sums to 1
     with warnings.catch_warnings():

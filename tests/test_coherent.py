@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import assume, given, strategies as st
 
 from qpcoherent import (
     DeformationParams,
+    InvalidParameterError,
     LabelOutOfDiskError,
+    OverlapInconsistencyError,
     ParameterMismatchError,
     RootOfUnityDegeneracyError,
     SeriesDivergenceError,
@@ -184,6 +187,26 @@ def test_annihilator_dimension_mismatch():
     s = make_state(0.5, QUON, dim=8)
     with pytest.raises(ParameterMismatchError):
         annihilator_residual(s, build_operators(9, QUON))
+
+
+def test_annihilator_parameter_mismatch():
+    s = make_state(0.5, QUON, dim=8)
+    with pytest.raises(ParameterMismatchError,
+                       match="operators and state parameters differ"):
+        annihilator_residual(s, build_operators(8, COMPLEX_P))
+
+
+def test_state_dimension_must_be_positive():
+    with pytest.raises(InvalidParameterError, match="dim must be positive"):
+        make_state(0.5, QUON, dim=0)
+
+
+def test_overlap_detects_a_tampered_normalization():
+    s1, s2 = make_state(0.3, QUON), make_state(0.4j, QUON)
+    tampered = dataclasses.replace(s1, norm_const=1.01 * s1.norm_const)
+    with pytest.raises(OverlapInconsistencyError,
+                       match="coefficient overlap .* vs closed form"):
+        overlap(tampered, s2)
 
 
 def test_phase_covariance():

@@ -338,6 +338,14 @@ def test_physical_weight_divergent_series_raises():
         physical_weight(w, params)
 
 
+def test_physical_weight_rejects_grid_points_outside_the_disk():
+    # the classical grid reaches past the quon radius R = 2
+    w = weight_from_moments(target_moments(CLASSICAL, 24), 12, grid_points=9)
+    with pytest.raises(InvalidParameterError,
+                       match="grid points must satisfy 0 <= x < radius"):
+        physical_weight(w, QUON)
+
+
 def test_zero_radius_has_no_weight():
     params = DeformationParams(0.5, 2.0)
     with pytest.raises(SeriesDivergenceError, match="radius is 0"):
@@ -395,6 +403,15 @@ def test_zeroth_moment_property():
         w = weight_from_moments(target_moments(params, 24), 12)
         ratios, _ = moment_ratios(w, params, 1)
         assert abs(ratios[0] - 1.0) <= 1e-6
+
+
+def test_audits_reject_a_resonance_below_dim():
+    # (q p)**2 = 1 makes [2] = 0, so no ratio with n >= 2 is defined
+    w = weight_from_moments(target_moments(CLASSICAL, 24), 12)
+    resonant = DeformationParams(1j, 1j)
+    for audit in (moment_ratios, identity_matrix_2d):
+        with pytest.raises(RootOfUnityDegeneracyError, match=r"\[2\] vanishes"):
+            audit(w, resonant, 4)
 
 
 def test_radial_and_2d_quadratures_agree():
