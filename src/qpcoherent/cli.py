@@ -122,8 +122,8 @@ def _cmd_weight(args) -> int:
         raise InvalidParameterError("--grid-points must be at least 1")
     radius = convergence_radius(params)
     if args.xmax is not None:
-        if not args.xmax > 0:
-            raise InvalidParameterError("--xmax must be positive")
+        if not 0 < args.xmax < math.inf:
+            raise InvalidParameterError("--xmax must be positive and finite")
         if math.isfinite(radius) or args.method == "fourier":
             raise InvalidParameterError("--xmax applies only to the moments "
                                         "route where the radius is infinite")
@@ -245,6 +245,8 @@ def _verify_checks(params: DeformationParams, dim: int, degree: int) -> list[dic
 
 
 def _cmd_verify(args) -> int:
+    if args.degree == 0:   # weight_from_moments rejects a negative degree
+        raise InvalidParameterError("--degree must be at least 1")
     checks = _verify_checks(DeformationParams(args.q, args.p), args.dim,
                             args.degree)
     header = ["check", "value", "threshold", "passed", "note"]

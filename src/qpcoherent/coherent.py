@@ -10,6 +10,7 @@ sum |z|**(2n) / |[n]|!.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,8 @@ def make_state(
     normalization series that does not converge raises SeriesDivergenceError.
     """
     z = complex(z)
+    if cmath.isnan(z):
+        raise InvalidParameterError(f"z must not be NaN, got {z}")
     try:
         z_sq = abs(z) ** 2
     except OverflowError:   # beyond double range, so outside every disk

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -115,50 +115,45 @@ def _ratio_kernel(logs: np.ndarray, window: int) -> list[tuple[RatioVerdict, flo
 
 
 # ----------------------------------------------------------------------
-# log-magnitude term sequences for the three series
-
-
-# Each takes cum = cumsum(log|[n]|), n = 1..count, and gives one row of
-# log|t_n|, n = 0..count, per sample point.
-
-
-def _log_factorials(count: int) -> np.ndarray:
-    return np.array([math.lgamma(k + 1) for k in range(1, count + 1)])
-
-
-def _wbar_log_terms(cum: np.ndarray, ys: Sequence[float],
-                    lgam: np.ndarray) -> np.ndarray:
-    if any(y == 0 for y in ys):
-        raise InvalidParameterError("y must be nonzero for a ratio test")
-    n = np.arange(1, len(cum) + 1, dtype=float)
-    log_y = np.array([math.log(abs(y)) for y in ys]).reshape(-1, 1)
-    logs = cum + n * log_y - lgam - math.log(math.pi)
-    return np.hstack([np.full((len(ys), 1), -math.log(math.pi)), logs])
-
-
-def _exp_log_terms(cum: np.ndarray, xs: Sequence[float]) -> np.ndarray:
-    # |x**n / [n]!| and x**n / |[n]|! have identical magnitudes, so one
-    # sequence serves both deformed exponentials
-    n = np.arange(1, len(cum) + 1, dtype=float)
-    log_x = np.array([math.log(abs(x)) for x in xs]).reshape(-1, 1)
-    return np.hstack([np.zeros((len(xs), 1)), n * log_x - cum])
-
-
-# ----------------------------------------------------------------------
 # proposition checks
 
 
-def _ratio_tests(params: DeformationParams, lgam: np.ndarray, window: int,
+#: grid points per ratio-test block: the [n] rows of a block, 16 x 300
+#: complex values in a sweep, stay near 77 KB whatever the grid length
+_BLOCK = 16
+
+
+def _ratio_tests(grid: Sequence[DeformationParams], count: int, window: int,
                  xs: Sequence[float], ys: Sequence[float]
-                 ) -> Optional[list[tuple[RatioVerdict, float]]]:
-    """Ratio tests of the exp series at each x, then of Wbar at each y, over
-    len(lgam) terms; None where one of those [n] is flagged (vanishing)."""
-    logs = log_abs_numbers(params, len(lgam))
-    if np.isneginf(logs).any():
-        return None
-    cum = np.cumsum(logs)
-    return _ratio_kernel(np.vstack([_exp_log_terms(cum, xs),
-                                    _wbar_log_terms(cum, ys, lgam)]), window)
+                 ) -> Iterator[Optional[list[tuple[RatioVerdict, float]]]]:
+    """Per grid point, ratio tests over ``count`` terms of the exp series at
+    its x (none where ``xs`` is empty), then of Wbar at each y; None where one
+    of those [n] is flagged (vanishing). Yielded a block at a time.
+
+    With cum = cumsum(log|[n]|), log|t_n| is n log|x| - cum_n for both deformed
+    exponentials (|x**n / [n]!| = x**n / |[n]|!) and cum_n + n log|y| -
+    log n! - log pi for Wbar. Only the last ``window`` + 1 terms are formed:
+    the ratios the kernel reads.
+    """
+    if any(y == 0 for y in ys):
+        raise InvalidParameterError("y must be nonzero for a ratio test")
+    first = count - window
+    n = np.arange(first, count + 1, dtype=float)
+    lgam = np.array([math.lgamma(k + 1) for k in range(first, count + 1)])
+    n_log_y = n * np.array([math.log(abs(y)) for y in ys]).reshape(-1, 1)
+    log_x = np.array([math.log(abs(x)) for x in xs]).reshape(-1, 1, 1)
+    for start in range(0, len(grid), _BLOCK):
+        cum = np.cumsum(log_abs_numbers(grid[start:start + _BLOCK], count),
+                        axis=1)
+        finite = ~np.isneginf(cum[:, -1])   # a -inf log|[n]| stays in cum
+        cum = cum[finite, None, first - 1:]
+        terms = [cum + n_log_y - lgam - math.log(math.pi)]
+        if len(xs):
+            terms.insert(0, n * log_x[start:start + _BLOCK][finite] - cum)
+        rows = np.concatenate(terms, axis=1)
+        found = iter(_ratio_kernel(rows.reshape(-1, window + 1), window))
+        for ok in finite.tolist():
+            yield [next(found) for _ in range(rows.shape[1])] if ok else None
 
 
 def proposition1_check(Q: complex, y_samples: Sequence[float]) -> list[Prop1Row]:
@@ -175,8 +170,7 @@ def proposition1_check(Q: complex, y_samples: Sequence[float]) -> list[Prop1Row]
     on_circle = abs(abs(Q) - 1.0) <= MODULUS_TOL
     expected = RatioVerdict.CONVERGENT if on_circle else RatioVerdict.DIVERGENT
     ys = [float(y) for y in y_samples]
-    tests = _ratio_tests(DeformationParams(q=Q, p=Q), _log_factorials(400),
-                         100, (), ys)
+    tests = next(_ratio_tests([DeformationParams(q=Q, p=Q)], 400, 100, (), ys))
     if tests is None:
         return [Prop1Row(Q=Q, y=y, verdict=None, estimate=math.nan,
                          expected=expected, consistent=True,
@@ -208,13 +202,12 @@ def proposition2_check(grid: Sequence[DeformationParams],
     """
     if not grid:
         raise InvalidParameterError("grid must be nonempty")
-    lgam = _log_factorials(300)
+    xs = [0.5 * radius if 0 < radius < math.inf else 2.5
+          for radius in map(convergence_radius, grid)]
     rows = []
-    for params in grid:
+    for params, tests in zip(grid, _ratio_tests(grid, 300, DEFAULT_WINDOW, xs,
+                                                y_samples)):
         regime = classify_regime(params)
-        radius = convergence_radius(params)
-        x = 0.5 * radius if 0 < radius < math.inf else 2.5
-        tests = _ratio_tests(params, lgam, DEFAULT_WINDOW, [x], y_samples)
         if tests is None:
             rows.append(RegimeVerdict(
                 params=params, regime=regime, v_exp=None, v_wbar=None,

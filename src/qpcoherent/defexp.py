@@ -10,6 +10,7 @@ classical inputs (x < 0) keep full double accuracy.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -82,6 +83,8 @@ def _sum_series(
     ctrl: SeriesControl,
     use_abs: bool,
 ) -> SeriesEvaluation:
+    if cmath.isnan(x):
+        raise InvalidParameterError(f"x must not be NaN, got {x}")
     radius = convergence_radius(params)
     ax = abs(x)
     if ax >= radius and ax > 0:

@@ -17,7 +17,7 @@ import cmath
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -99,7 +99,8 @@ def _moduli(z: np.ndarray) -> np.ndarray:
     # np.hypot rounds as the built-in complex abs does; np.abs does not. The
     # outer abs makes a NaN positive, as the built-in abs returns it: past an
     # overflow, [n] can hold NaN parts of either sign
-    return np.abs(np.hypot(z.real, z.imag))
+    moduli = np.hypot(z.real, z.imag)
+    return np.abs(moduli, out=moduli)
 
 
 def _factors(params: DeformationParams) -> tuple[complex, complex]:
@@ -108,16 +109,17 @@ def _factors(params: DeformationParams) -> tuple[complex, complex]:
     return (params.p_inv, qp) if abs(qp) <= 1.0 else (params.q, 1.0 / qp)
 
 
-def _partial_sums(r: complex, count: int
+def _partial_sums(r: complex | np.ndarray, count: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S_n, |S_n| and the one resonance rule, |S_n| <= RESONANCE_RTOL n, for
-    n = 1..count.
+    n = 1..count, along the last axis: one row per entry of an array ``r``.
 
     n is the scale sum |r|**k of the terms wherever S_n can cancel, as |r| is 1
     there; and |S_n| <= n, so an overflowed [n] is never flagged."""
-    sums = np.full(count, r)
-    sums[:1] = 1.0   # running powers 1, r, r**2, ... in place, then their sums
-    np.cumsum(np.cumprod(sums, out=sums), out=sums)
+    sums = np.empty(np.shape(r) + (count,), complex)
+    sums[...] = np.expand_dims(r, -1)
+    sums[..., :1] = 1.0   # running powers 1, r, r**2, ... in place, then sums
+    np.cumsum(np.cumprod(sums, axis=-1, out=sums), axis=-1, out=sums)
     moduli = _moduli(sums)
     return sums, moduli, moduli <= RESONANCE_RTOL * np.arange(1, count + 1)
 
@@ -209,12 +211,16 @@ def qp_sequence(n_max: int, params: DeformationParams) -> QNumberSequence:
           for i in (full.overflow_index, full.resonance_index)))
 
 
-def log_abs_numbers(params: DeformationParams, count: int) -> np.ndarray:
-    """log|[n]| = (n - 1) log|l| + log|S_n| for n = 1..count, stable at any
-    scale; -inf, never NaN, exactly where ``_build`` flags [n]."""
-    ell, r = _factors(params)
-    _, moduli, resonant = _partial_sums(r, count)
+def log_abs_numbers(grid: Sequence[DeformationParams], count: int
+                    ) -> np.ndarray:
+    """log|[n]| = (n - 1) log|l| + log|S_n| for n = 1..count, one row per
+    point of ``grid``, stable at any scale; -inf, never NaN, exactly where
+    ``_build`` flags [n]."""
+    ells, rs = np.array([_factors(params) for params in grid]).T
+    moduli, resonant = _partial_sums(rs, count)[1:]
     with np.errstate(divide="ignore"):
-        logs = np.log(moduli)
+        logs = np.log(moduli, out=moduli)
     logs[resonant] = -np.inf
-    return np.arange(count) * np.log(abs(ell)) + logs
+    # |l| from ``_moduli``, which rounds as the built-in abs does
+    logs += np.arange(count) * np.log(_moduli(ells))[:, None]
+    return logs

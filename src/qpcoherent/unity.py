@@ -395,7 +395,8 @@ def weight_from_moments(moments: MomentSet, degree: int, *,
     lower triangular and are solved in extended precision; the relative
     moment residuals and the equilibrated condition estimate are reported in
     the diagnostics. A condition estimate beyond 1e12 raises
-    IllConditionedError (lower the degree).
+    IllConditionedError (lower the degree), and a grid on which the expansion
+    leaves double range raises SeriesDivergenceError.
     """
     if degree < 0 or degree > moments.n_max:
         raise InvalidParameterError("need 0 <= degree <= moments.n_max")
@@ -425,7 +426,11 @@ def weight_from_moments(moments: MomentSet, degree: int, *,
         span = x_max if x_max is not None else max(20.0, 2.0 * degree)
         grid_x = np.linspace(0.0, span, grid_points)
         basis = Basis.GENERALIZED_LAGUERRE
-    grid_w = _basis_values(basis, coeffs, R, grid_x)
+    with np.errstate(all="ignore"):
+        grid_w = _basis_values(basis, coeffs, R, grid_x)
+    if not np.isfinite(grid_w).all():
+        raise SeriesDivergenceError(
+            f"W~ leaves double range on the grid up to x = {grid_x[-1]:.6g}")
     grid_x.flags.writeable = False
     grid_w.flags.writeable = False
     return WeightFunction(

@@ -109,6 +109,9 @@ def test_exp_divergent_input(tmp_path):
                           "--p", "1"], tmp_path)
     assert code == 0
     assert parse_csv(text)[0]["verdict"] == "DivergentInput"
+    code, text = run_cli(["exp", "--x", "inf"], tmp_path, name="inf.csv")
+    assert code == 0
+    assert parse_csv(text)[0]["verdict"] == "DivergentInput"
 
 
 def test_exp2_at_zero(tmp_path):
@@ -237,8 +240,14 @@ def test_weight_divergent_series_is_error(tmp_path, capsys, q, p, reason):
 # "{missing}" stands for a directory that does not exist.
 EDGE_INPUTS = [
     (["verify", "--q", "0.5", "--p", "1", "--degree", "0"], 2,
-     "dim must be positive"),
+     "--degree must be at least 1"),
     (["coherent", "--z", "1e300"], 1, "convergence radius"),
+    (["coherent", "--z", "inf"], 1, "convergence radius"),
+    (["coherent", "--z", "nan"], 2, "z must not be NaN"),
+    (["exp", "--x", "nan"], 2, "x must not be NaN"),
+    (["weight", "--xmax", "1e30", "--format", "json"], 1,
+     "leaves double range"),
+    (["weight", "--xmax", "inf"], 2, "--xmax must be positive and finite"),
     (["qnum", "--q", "nan"], 2, "must be finite"),
     (["weight", "--p", "nan"], 2, "must be finite"),
     (["fock-check", "--q", "inf"], 2, "must be finite"),

@@ -22,8 +22,9 @@ from qpcoherent import (
     regime_report_to_csv,
     regime_report_to_json,
 )
-from qpcoherent.convergence import _ratio_kernel, _worst
-from qpcoherent.qnumbers import RESONANCE_RTOL
+from qpcoherent import convergence
+from qpcoherent.convergence import _BLOCK, _ratio_kernel, _worst
+from qpcoherent.qnumbers import RESONANCE_RTOL, log_abs_numbers
 
 
 def test_classify_examples():
@@ -331,6 +332,50 @@ def test_prop2_matches_scalar_reference_on_seeded_grid(seed):
     assert any("root-of-unity" in r.note for r in got)
     assert any(abs(r.params.q * r.params.p) > 1 and r.v_wbar is not None
                for r in got)
+
+
+def _interleaved_grid(size=2 * _BLOCK + 5):
+    # skipped (resonant) and degenerate points between ordinary ones, so
+    # blocks hold mixes of rows with and without ratio tests
+    special = [DeformationParams(1j, 1j),
+               DeformationParams(cmath.exp(2j * math.pi / 3), 1.0),
+               DeformationParams(1.0, 1.0), DeformationParams(0.5, 2.0)]
+    rng = random.Random(28)
+    grid = []
+    for i in range(size):
+        if i % 3 == 1:
+            grid.append(special[i // 3 % len(special)])
+        else:
+            grid.append(DeformationParams(
+                cmath.rect(rng.uniform(0.2, 2.0), rng.uniform(-math.pi, math.pi)),
+                cmath.rect(rng.choice((1.0, rng.uniform(0.3, 2.5))),
+                           rng.uniform(-math.pi, math.pi))))
+    return grid
+
+
+@pytest.mark.parametrize("ys", [(0.5, 1.0, 2.0), (0.25, 0.5, 1.5, 3.0)])
+def test_prop2_blocks_match_scalar_reference(ys):
+    grid = _interleaved_grid()
+    assert len(grid) % _BLOCK != 0
+    got = proposition2_check(grid, ys)
+    assert repr(got) == repr(_ref_prop2(grid, ys))
+    notes = [row.note for row in got]
+    assert notes.count("root-of-unity degeneracy; skipped") >= 6
+    assert sum(row.regime is Regime.DEGENERATE and row.v_exp is not None
+               for row in got) >= 6
+
+
+def test_prop2_builds_numbers_once_per_block(monkeypatch):
+    sizes = []
+
+    def counted(grid, count):
+        sizes.append(len(grid))
+        return log_abs_numbers(grid, count)
+
+    monkeypatch.setattr(convergence, "log_abs_numbers", counted)
+    proposition2_check(_seeded_grid(4, size=60))
+    assert len(sizes) <= math.ceil(60 / _BLOCK)
+    assert sum(sizes) == 60 and max(sizes) <= _BLOCK
 
 
 @pytest.mark.parametrize("Q", [0.7 * cmath.exp(0.4j), 1.6 * cmath.exp(2.0j),
